@@ -20,7 +20,7 @@ import pytest
 
 from repro import CSCS_TESTBED
 from repro.apps import lulesh
-from repro.core import analyze_critical_path, build_lp, parametric_analysis
+from repro.core import analyze_critical_path, build_lp, forward_envelope
 
 from _bench_utils import emit_json, print_header, print_rows
 
@@ -49,8 +49,8 @@ def _run():
     timings["graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pa = parametric_analysis(small, CSCS_TESTBED, l_min=0.0, l_max=200.0)
-    values["parametric"] = [pa.runtime(CSCS_TESTBED.L + d) for d in DELTAS]
+    envelope = forward_envelope(small, CSCS_TESTBED, l_min=0.0, l_max=200.0)
+    values["parametric"] = [envelope.value(CSCS_TESTBED.L + d) for d in DELTAS]
     timings["parametric"] = time.perf_counter() - t0
 
     return timings, values

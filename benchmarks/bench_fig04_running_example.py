@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import build_lp, find_critical_latencies, parametric_analysis
+from repro.core import build_lp, find_critical_latencies, forward_envelope
 from repro.network.params import LogGPSParams
 from repro.schedgen.graph import GraphBuilder
 
@@ -53,9 +53,9 @@ def _analyse():
     out["tolerance_2us"] = lp.solve_max_latency(2.0).objective
     out["critical"] = find_critical_latencies(lp, 0.0, 1.0)
     out["critical_appendix_d"] = find_critical_latencies(lp, 0.2, 0.5)
-    pa = parametric_analysis(graph, PARAMS, l_min=0.0, l_max=2.0)
-    out["parametric_breakpoints"] = pa.critical_latencies()
-    out["T_curve"] = [(L, pa.runtime(L), pa.latency_sensitivity(L))
+    envelope = forward_envelope(graph, PARAMS, l_min=0.0, l_max=2.0)
+    out["parametric_breakpoints"] = envelope.breakpoints()
+    out["T_curve"] = [(L, envelope.value(L), envelope.slope(L))
                       for L in (0.0, 0.2, 0.385, 0.5, 1.0)]
     return out
 

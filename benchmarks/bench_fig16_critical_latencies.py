@@ -14,7 +14,7 @@ import pytest
 
 from repro import CSCS_TESTBED
 from repro.apps import lulesh
-from repro.core import build_lp, find_critical_latencies, parametric_analysis
+from repro.core import build_lp, find_critical_latencies, forward_envelope
 from repro.core.critical_latency import critical_latency_curve
 
 from _bench_utils import emit_json, print_header, print_rows
@@ -28,14 +28,14 @@ def _run():
     graph = lulesh.build(NRANKS, params=CSCS_TESTBED, iterations=ITERATIONS)
     lp = build_lp(graph, CSCS_TESTBED)
     lp_breakpoints = find_critical_latencies(lp, L_MIN, L_MAX)
-    parametric = parametric_analysis(graph, CSCS_TESTBED, l_min=0.0, l_max=L_MAX)
-    exact_breakpoints = [b for b in parametric.critical_latencies() if L_MIN < b < L_MAX]
+    parametric = forward_envelope(graph, CSCS_TESTBED, l_min=0.0, l_max=L_MAX)
+    exact_breakpoints = [b for b in parametric.breakpoints() if L_MIN < b < L_MAX]
     tangents = critical_latency_curve(lp, L_MIN, L_MAX)
-    return lp_breakpoints, exact_breakpoints, tangents, parametric
+    return lp_breakpoints, exact_breakpoints, tangents, parametric, lp
 
 
 def test_fig16_critical_latencies(run_once):
-    lp_breakpoints, exact_breakpoints, tangents, parametric = run_once(_run)
+    lp_breakpoints, exact_breakpoints, tangents, parametric, lp = run_once(_run)
 
     print_header("Algorithm 2 / Fig. 16 — critical latencies of LULESH "
                  f"({NRANKS} ranks) in [{L_MIN}, {L_MAX}] µs")
@@ -63,8 +63,8 @@ def test_fig16_critical_latencies(run_once):
     assert all(b >= a - 1e-9 for a, b in zip(slopes, slopes[1:]))
     # and matches the parametric slope inside each segment
     for t in tangents:
-        assert t.slope == pytest.approx(parametric.envelope.slope(t.L), abs=1e-6)
+        assert t.slope == pytest.approx(parametric.slope(t.L), abs=1e-6)
     # the two methods agree on T(L) across the whole interval
     for L in np.linspace(L_MIN, L_MAX, 7):
-        assert parametric.envelope.value(L) == pytest.approx(
-            parametric.envelope.value(L), rel=1e-9)
+        assert parametric.value(L) == pytest.approx(
+            lp.solve_runtime(L=float(L)).objective, rel=1e-9)

@@ -28,7 +28,7 @@ from .core import (
     analyze_critical_path,
     build_lp,
     find_critical_latencies,
-    parametric_analysis,
+    forward_envelope,
 )
 from .mpi import Program, VirtualComm, run_program, trace_program
 from .network import CSCS_TESTBED, DEFAULT_PARAMS, PIZ_DAINT, LogGPSParams
@@ -53,7 +53,7 @@ __all__ = [
     "GraphLP",
     "build_lp",
     "ParametricAnalysis",
-    "parametric_analysis",
+    "forward_envelope",
     "analyze_critical_path",
     "find_critical_latencies",
     # network parameters

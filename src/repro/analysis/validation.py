@@ -108,17 +108,12 @@ def run_validation_sweep(
     noise_sigma: float = 0.002,
     repetitions: int = 1,
     backend: str = "highs",
-    lp_engine: str = "auto",
-    sim_engine: str = "auto",
 ) -> ValidationSweep:
     """Sweep ΔL, measuring with the simulator and predicting with the LP.
 
     ``repetitions`` simulated runs per ΔL are averaged (the paper averages
     10 real runs); by default a small Gaussian compute noise makes the
-    measurement realistically non-deterministic.  ``lp_engine`` selects the
-    LP construction engine (symbolic sweep vs the vectorised compiler) and
-    ``sim_engine`` the simulation engine (the per-vertex legacy walk vs the
-    level-synchronous vectorised engine; both are timestamp-identical).
+    measurement realistically non-deterministic.
     """
     deltas = np.asarray(
         sorted(set(float(d) for d in (delta_Ls if delta_Ls is not None else np.linspace(0, 100, 11)))),
@@ -127,7 +122,7 @@ def run_validation_sweep(
     if np.any(deltas < 0):
         raise ValueError("delta_L values must be non-negative")
 
-    analyzer = LatencyAnalyzer(graph, params, backend=backend, lp_engine=lp_engine)
+    analyzer = LatencyAnalyzer(graph, params, backend=backend)
     curve = analyzer.sensitivity_curve(deltas)
     tolerance = analyzer.tolerance_report()
 
@@ -147,7 +142,6 @@ def run_validation_sweep(
                 params,
                 injector=make_injector(injector, float(delta)),
                 noise=run_noise,
-                sim_engine=sim_engine,
             )
             samples.append(result.makespan)
         measured[i] = float(np.mean(samples))

@@ -43,6 +43,19 @@ __all__ = [
 
 _HEX = set("0123456789abcdef")
 
+#: sweep options that shape a cached envelope, at the defaults of
+#: ``build_lp`` / ``BatchedSweep`` / ``batched_sweep_graphs``: filled in so an
+#: omitted option and its explicit default address the same entry
+ENVELOPE_KEY_DEFAULTS = {
+    "latency_mode": "global",
+    "gap_mode": "constant",
+    "overhead_mode": "constant",
+    "max_pieces": 50_000,
+}
+
+#: ``build_lp`` options that never change the curve, left out of the key
+_CURVE_NEUTRAL_OPTIONS = ("engine", "name")
+
 
 def combine_digests(*parts: object) -> str:
     """Derive one sha256 cache key from several digest/config components.
@@ -61,9 +74,12 @@ def envelope_key(graph, params, *, l_min: float, l_max: float, **config: object)
     """The cache key of one exact ``T(L)`` envelope.
 
     Combines the graph and parameter content digests with the swept interval
-    and any extra configuration that changes the produced curve
-    (``gap_symbolic``, ``max_pieces``, LP build modes, …), sorted by name so
-    keyword order is irrelevant.
+    and the configuration that changes the produced curve — the LP build
+    modes and ``max_pieces`` (defaults filled in from
+    :data:`ENVELOPE_KEY_DEFAULTS`) plus any extra ``config`` — sorted by name
+    so keyword order is irrelevant.  The LP engine and model name are left
+    out: every caller that sweeps the same graph, parameters, interval and
+    modes addresses one entry.
     """
     return envelope_key_from_digests(
         graph.content_digest(),
@@ -92,6 +108,10 @@ def envelope_key_from_digests(
         repr(float(l_min)),
         repr(float(l_max)),
     ]
+    config = {
+        **ENVELOPE_KEY_DEFAULTS,
+        **{k: v for k, v in config.items() if k not in _CURVE_NEUTRAL_OPTIONS},
+    }
     for name in sorted(config):
         parts.append(name)
         parts.append(repr(config[name]))

@@ -9,7 +9,7 @@ from .envelope import (
     resolve_envelope_engine,
 )
 from .graph_analysis import CriticalPathResult, analyze_critical_path, forward_pass
-from .lp_builder import COMPILED_ENGINE_THRESHOLD, GraphLP, build_lp
+from .lp_builder import GraphLP, build_lp
 from .parametric import (
     BatchedSweep,
     EnvelopeOverflowError,
@@ -17,7 +17,6 @@ from .parametric import (
     ParametricAnalysis,
     PiecewiseLinear,
     batched_sweep_graphs,
-    parametric_analysis,
 )
 
 __all__ = [
@@ -26,14 +25,12 @@ __all__ = [
     "ToleranceReport",
     "GraphLP",
     "build_lp",
-    "COMPILED_ENGINE_THRESHOLD",
     "CriticalPathResult",
     "analyze_critical_path",
     "forward_pass",
     "ParametricAnalysis",
     "PiecewiseLinear",
     "Line",
-    "parametric_analysis",
     "BatchedSweep",
     "batched_sweep_graphs",
     "EnvelopeOverflowError",

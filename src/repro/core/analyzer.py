@@ -26,6 +26,7 @@ Typical use::
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -37,7 +38,7 @@ from ..schedgen.graph import ExecutionGraph
 from .critical_latency import critical_latency_curve, find_critical_latencies
 from .graph_analysis import CriticalPathResult, analyze_critical_path
 from .lp_builder import GraphLP, build_lp
-from .parametric import BatchedSweep, ParametricAnalysis, parametric_analysis
+from .parametric import BatchedSweep, ParametricAnalysis
 
 __all__ = ["SensitivityCurve", "ToleranceReport", "LatencyAnalyzer"]
 
@@ -97,8 +98,6 @@ class LatencyAnalyzer:
         *,
         backend: str = "highs",
         gap_symbolic: bool = False,
-        lp_engine: str = "auto",
-        sim_engine: str = "auto",
         envelope_engine: str = "auto",
         cache_dir: str | os.PathLike | None = None,
     ) -> None:
@@ -118,9 +117,7 @@ class LatencyAnalyzer:
             self._graph = graph
         self.params = params
         self.backend = backend
-        self._gap_symbolic = gap_symbolic
-        self.lp_engine = lp_engine
-        self.sim_engine = sim_engine
+        self._gap_mode = "global" if gap_symbolic else "constant"
         self.envelope_engine = envelope_engine
         self._lp: GraphLP | None = None
         self._baseline_runtime: float | None = None
@@ -199,8 +196,7 @@ class LatencyAnalyzer:
                 source,
                 self.params,
                 latency_mode="global",
-                gap_mode="global" if self._gap_symbolic else "constant",
-                engine=self.lp_engine,
+                gap_mode=self._gap_mode,
             )
         return self._lp
 
@@ -210,7 +206,7 @@ class LatencyAnalyzer:
 
     def simulate(self, delta_L: float = 0.0, *, injector=None, noise=None):
         """One LogGOPS simulation run (the "measured" side of the paper's
-        validation), on the engine selected by ``sim_engine``.
+        validation), on the level-synchronous engine.
 
         ``delta_L`` and an explicit ``injector`` are mutually exclusive,
         exactly as in :func:`repro.simulator.simulate`.
@@ -223,7 +219,6 @@ class LatencyAnalyzer:
             delta_L=delta_L,
             injector=injector,
             noise=noise,
-            sim_engine=self.sim_engine,
         )
 
     def simulated_sweep(self, delta_Ls, *, injector: str = "ideal", noise=None):
@@ -231,25 +226,21 @@ class LatencyAnalyzer:
 
         Uses :func:`repro.simulator.columnar.simulate_sweep`: every level of
         the graph advances all sweep points at once (one 2-D array pass), so
-        the whole sweep costs a single traversal.  ``sim_engine="legacy"``
-        falls back to one per-point run per ΔL.
+        the whole sweep costs a single traversal.
         """
         from ..simulator.columnar import simulate_sweep
-        from ..simulator.loggops import resolve_sim_engine
 
-        engine = resolve_sim_engine(self.sim_engine, self.graph.num_vertices)
         return simulate_sweep(
-            self.graph,
-            self.params,
-            delta_Ls,
-            injector=injector,
-            noise=noise,
-            sim_engine=engine,
+            self.graph, self.params, delta_Ls, injector=injector, noise=noise
         )
 
     def parametric(self, l_min: float = 0.0, l_max: float = 10_000.0) -> ParametricAnalysis:
-        """The exact piecewise-linear ``T(L)`` curve on ``[l_min, l_max]``."""
-        return parametric_analysis(self.graph, self.params, l_min=l_min, l_max=l_max)
+        """The exact piecewise-linear ``T(L)`` curve on ``[l_min, l_max]``
+        (one :func:`~repro.core.envelope.forward_envelope` traversal)."""
+        from .envelope import forward_envelope
+
+        envelope = forward_envelope(self.graph, self.params, l_min=l_min, l_max=l_max)
+        return ParametricAnalysis(envelope=envelope, params=self.params, graph=self.graph)
 
     def batched_sweep(
         self, l_min: float | None = None, l_max: float = 10_000.0, **kwargs
@@ -265,9 +256,10 @@ class LatencyAnalyzer:
         hit the returned sweep wraps the stored curve and never builds,
         assembles or solves the LP at all (zero new CSR assemblies); on a
         miss the envelope is built once and persisted for the next caller.
-        Store keys are engine-free — an envelope warmed with one
-        ``envelope_engine`` is a hit for the other, since both compute the
-        identical curve.
+        Store keys are engine-free and shared with
+        :func:`~repro.core.parametric.batched_sweep_graphs` and the sweep
+        pool (:func:`~repro.artifacts.envelope_key`): an envelope warmed by
+        any of them is a hit for the others.
         """
         lo = self.params.L if l_min is None else l_min
         kwargs.setdefault("backend", self.backend)
@@ -276,19 +268,10 @@ class LatencyAnalyzer:
             return BatchedSweep(self.lp, l_min=lo, l_max=l_max, **kwargs)
         from ..artifacts import envelope_key
 
-        key = envelope_key(
-            self.graph,
-            self.params,
-            l_min=lo,
-            l_max=l_max,
-            gap_symbolic=self._gap_symbolic,
-            lp_engine=self.lp_engine,
-            **{
-                k: v
-                for k, v in kwargs.items()
-                if k not in ("backend", "envelope_engine")
-            },
-        )
+        config = {"gap_mode": self._gap_mode}
+        if "max_pieces" in kwargs:
+            config["max_pieces"] = kwargs["max_pieces"]
+        key = envelope_key(self.graph, self.params, l_min=lo, l_max=l_max, **config)
         cached = self._store.get("envelope", key)
         if cached is not None:
             self._store.hits["envelope"] += 1
@@ -370,7 +353,7 @@ class LatencyAnalyzer:
 
     def bandwidth_sensitivity(self, delta_L: float = 0.0) -> float:
         """``λ_G = ∂T/∂G``: bytes (minus one per message) on the critical path."""
-        if not self._gap_symbolic:
+        if self._gap_mode != "global":
             raise ValueError(
                 "build the analyzer with gap_symbolic=True to query bandwidth sensitivity"
             )
@@ -384,9 +367,13 @@ class LatencyAnalyzer:
 
         ``absolute=True`` returns the total tolerable latency ``L`` (as in
         Fig. 1); ``absolute=False`` returns the tolerable *added* latency ΔL.
+        A graph without messages does not depend on ``L`` at all: its
+        tolerance is ``inf``.
         """
         if degradation < 0:
             raise ValueError(f"degradation must be non-negative, got {degradation}")
+        if self.lp.num_messages == 0:
+            return math.inf
         bound = (1.0 + degradation) * self.baseline_runtime()
         # reset the latency lower bound to the baseline before maximising
         self.lp.set_latency_bound(self.params.L)

@@ -30,22 +30,10 @@ from __future__ import annotations
 from ..lp.parametric import Tangent, TangentEnvelope
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
+from .envelope import validate_interval
 from .lp_builder import GraphLP, build_lp
 
 __all__ = ["Tangent", "find_critical_latencies", "critical_latency_curve"]
-
-
-def _validate_interval(l_min: float, l_max: float) -> None:
-    """Reject a bad sweep interval up front, before any LP or traversal.
-
-    Pinned by tests: a reversed/empty/negative interval must fail here with
-    this message, never part-way through a tangent search.
-    """
-    if l_min < 0 or l_max <= l_min:
-        raise ValueError(
-            f"invalid latency interval [{l_min}, {l_max}]: "
-            "require 0 <= l_min < l_max"
-        )
 
 
 def _as_graph_lp(
@@ -137,7 +125,7 @@ def find_critical_latencies(
     line propagation (no LP solves) or the LP tangent search; both return
     the identical breakpoints.
     """
-    _validate_interval(l_min, l_max)
+    validate_interval(l_min, l_max)
     piecewise = _forward_piecewise(
         graph_lp, params, engine, envelope_engine, l_min, l_max
     )
@@ -169,7 +157,7 @@ def critical_latency_curve(
     ``params=`` / ``engine=``) like :func:`find_critical_latencies`, and the
     same ``envelope_engine`` knob.
     """
-    _validate_interval(l_min, l_max)
+    validate_interval(l_min, l_max)
     piecewise = _forward_piecewise(
         graph_lp, params, engine, envelope_engine, l_min, l_max
     )

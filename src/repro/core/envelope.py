@@ -90,11 +90,18 @@ _REDUCE_SKIP = 8
 _GC_MIN_VERTICES = 65_536
 
 
-def _interval_error(l_min: float, l_max: float) -> ValueError:
-    return ValueError(
-        f"invalid latency interval [{l_min}, {l_max}]: "
-        "require 0 <= l_min < l_max"
-    )
+def validate_interval(l_min: float, l_max: float) -> None:
+    """Reject a bad sweep interval up front, before any LP or traversal.
+
+    Pinned by tests: a reversed, empty, negative or NaN interval must fail
+    here with this message, never part-way through a search.  ``l_max`` may
+    be ``inf``.
+    """
+    if not 0 <= l_min < l_max:
+        raise ValueError(
+            f"invalid latency interval [{l_min}, {l_max}]: "
+            "require 0 <= l_min < l_max"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +458,7 @@ def forward_envelope(
     envelope; overflow raises :class:`EnvelopeOverflowError` like the other
     parametric engines.
     """
-    if l_min < 0 or l_max <= l_min:
-        raise _interval_error(l_min, l_max)
+    validate_interval(l_min, l_max)
     if max_pieces < 1:
         raise ValueError(f"max_pieces must be positive, got {max_pieces}")
     lo, hi = float(l_min), float(l_max)

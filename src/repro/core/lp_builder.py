@@ -38,13 +38,7 @@ from ..lp.model import Constraint, LinearExpr, LPModel, LPSolution, Sense, Varia
 from ..network.params import LogGPSParams
 from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
 
-__all__ = ["GraphLP", "build_lp", "COMPILED_ENGINE_THRESHOLD"]
-
-#: Graph size (vertices) above which ``engine="auto"`` picks the vectorised
-#: compiler.  The measured crossover is ≈ 40 vertices; the threshold sits
-#: deliberately above it so toy graphs keep the simpler symbolic path even
-#: on slower hardware (both engines are < 1 ms there either way).
-COMPILED_ENGINE_THRESHOLD = 64
+__all__ = ["GraphLP", "build_lp"]
 
 
 def _pair_key(i: int, j: int) -> tuple[int, int]:
@@ -267,7 +261,7 @@ def build_lp(
     gap_mode: str = "constant",
     overhead_mode: str = "constant",
     name: str = "llamp",
-    engine: str = "auto",
+    engine: str = "compiled",
 ) -> GraphLP:
     """Convert ``graph`` into a :class:`GraphLP` under configuration ``params``.
 
@@ -285,17 +279,13 @@ def build_lp(
         ``"constant"`` (default) or ``"global"`` for the per-message CPU
         overhead ``o``.
     engine:
-        ``"symbolic"`` — the per-vertex topological sweep (Algorithm 1 as
-        written in the paper); ``"compiled"`` — the vectorised lowering of
-        :mod:`repro.lp.compiler`, which emits the same LP structure directly
-        as CSR arrays; ``"fused"`` — the analyze-only batch path: ``graph``
-        is a :class:`~repro.schedgen.columnar.ScheduleBatches` spec whose op
-        batches are lowered straight to CSR over a zero-copy, never-frozen
-        execution graph (bit-identical output); ``"auto"`` (default) —
-        fused whenever the input is a batch spec (the graph was never
-        requested, so the frozen round-trip is pure overhead), otherwise
-        compiled for graphs with at least :data:`COMPILED_ENGINE_THRESHOLD`
-        vertices and symbolic below.
+        ``"compiled"`` (default) — the vectorised lowering of
+        :mod:`repro.lp.compiler`, which emits the LP directly as CSR arrays;
+        a :class:`~repro.schedgen.columnar.ScheduleBatches` input is lowered
+        over its zero-copy, never-frozen execution graph (the fused
+        analyze-only path).  ``"symbolic"`` — the per-vertex topological
+        sweep (Algorithm 1 as written in the paper), kept as the reference
+        the compiled lowering is tested against.
     """
     if latency_mode not in ("global", "per_pair", "constant"):
         raise ValueError(f"unknown latency_mode {latency_mode!r}")
@@ -303,27 +293,13 @@ def build_lp(
         raise ValueError(f"unknown gap_mode {gap_mode!r}")
     if overhead_mode not in ("constant", "global"):
         raise ValueError(f"unknown overhead_mode {overhead_mode!r}")
-    if engine not in ("auto", "symbolic", "compiled", "fused"):
-        raise ValueError(f"unknown engine {engine!r}")
+    if engine not in ("compiled", "symbolic"):
+        raise ValueError(f"unknown engine {engine!r}; expected 'compiled' or 'symbolic'")
     from ..schedgen.columnar import ScheduleBatches
 
     if isinstance(graph, ScheduleBatches):
-        # batch-spec input: materialise the analyze-only graph (zero-copy,
-        # cached on the spec) and prefer the direct CSR lowering — symbolic
-        # remains available as the reference on the same graph
+        # the analyze-only graph: zero-copy, cached on the spec
         graph = graph.graph_for(params)
-        if engine in ("auto", "fused"):
-            engine = "compiled"
-    elif engine == "fused":
-        # an already-built graph cannot skip its own construction; the CSR
-        # emission is the same either way
-        engine = "compiled"
-    if engine == "auto":
-        engine = (
-            "compiled"
-            if graph.num_vertices >= COMPILED_ENGINE_THRESHOLD
-            else "symbolic"
-        )
 
     if engine == "compiled":
         from ..lp.compiler import compile_lp

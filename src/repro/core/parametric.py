@@ -7,10 +7,11 @@ Equation 3 of the paper writes the runtime of an MPI program under LogGPS as
 where each term corresponds to one path through the execution graph
 (``a_i`` = number of communication edges, ``C_i`` = all other costs).  The
 paper notes that materialising this expression by dynamic programming is
-intractable in their C++ implementation; here we implement it with an
-*upper-envelope* representation — per vertex we only keep the lines that are
-maximal somewhere in the latency interval of interest — which makes the
-computation exact and, for the graph sizes used in this reproduction, fast.
+intractable in their C++ implementation; here it is an *upper-envelope*
+representation — only the lines that are maximal somewhere in the latency
+interval of interest are kept — computed exactly either in one graph
+traversal (:func:`repro.core.envelope.forward_envelope`) or from LP tangents
+(:class:`BatchedSweep`).
 
 The resulting :class:`PiecewiseLinear` envelope directly yields every
 quantity LLAMP otherwise extracts from LP re-solves:
@@ -22,9 +23,8 @@ quantity LLAMP otherwise extracts from LP re-solves:
 * the feasibility range of a
   given ``L`` (Gurobi's ranging) — :meth:`PiecewiseLinear.segment_of`.
 
-It is used as an independent cross-check of the LP pipeline in the test
-suite and by Algorithm 2's range queries when the LP backend cannot provide
-ranging information.
+:class:`ParametricAnalysis` wraps an envelope with the baseline
+parameters (``LatencyAnalyzer.parametric()``).
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ import numpy as np
 
 from ..lp.parametric import EnvelopeOverflowError, ParametricLP
 from ..network.params import LogGPSParams
-from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
+from ..schedgen.graph import ExecutionGraph
 
 __all__ = [
     "Line",
     "PiecewiseLinear",
     "ParametricAnalysis",
-    "parametric_analysis",
     "EnvelopeOverflowError",
     "BatchedSweep",
     "batched_sweep_graphs",
@@ -59,9 +58,6 @@ class Line:
 
     def __call__(self, x: float) -> float:
         return self.slope * x + self.intercept
-
-    def shifted(self, slope_delta: float, intercept_delta: float) -> "Line":
-        return Line(self.slope + slope_delta, self.intercept + intercept_delta)
 
 
 def _upper_envelope(lines: Sequence[Line], lo: float, hi: float) -> list[Line]:
@@ -284,60 +280,6 @@ class ParametricAnalysis:
         return self.envelope.segment_of(self.params.L if L is None else L)
 
 
-def parametric_analysis(
-    graph: ExecutionGraph,
-    params: LogGPSParams,
-    *,
-    l_min: float = 0.0,
-    l_max: float = 10_000.0,
-    max_pieces: int = 50_000,
-) -> ParametricAnalysis:
-    """Compute the exact ``T(L)`` envelope of ``graph`` on ``[l_min, l_max]``.
-
-    All other LogGPS parameters are taken from ``params``.  ``max_pieces``
-    guards against pathological envelope growth (an
-    :class:`EnvelopeOverflowError` is raised instead of silently degrading).
-    """
-    if l_min < 0 or l_max <= l_min:
-        raise ValueError(f"invalid latency interval [{l_min}, {l_max}]")
-
-    o, G = params.o, params.G
-    envelopes: dict[int, list[Line]] = {}
-
-    for v in graph.topological_order():
-        v = int(v)
-        cost = float(graph.cost[v]) if graph.kind[v] == VertexKind.CALC else o
-        incoming = list(graph.in_edges(v))
-        if not incoming:
-            envelopes[v] = [Line(0.0, cost)]
-            continue
-        merged: list[Line] = []
-        for src, _, kind in incoming:
-            if kind is EdgeKind.COMM:
-                slope_delta = 1.0
-                intercept_delta = max(int(graph.size[v]) - 1, 0) * G + cost
-            else:
-                slope_delta = 0.0
-                intercept_delta = cost
-            merged.extend(
-                line.shifted(slope_delta, intercept_delta) for line in envelopes[src]
-            )
-        env = _upper_envelope(merged, l_min, l_max)
-        if len(env) > max_pieces:
-            raise EnvelopeOverflowError(
-                f"envelope at vertex {v} has {len(env)} pieces (> {max_pieces}); "
-                "narrow the latency interval or raise max_pieces"
-            )
-        envelopes[v] = env
-
-    terminal: list[Line] = []
-    for sink in graph.sinks():
-        terminal.extend(envelopes[int(sink)])
-    final = _upper_envelope(terminal, l_min, l_max)
-    envelope = PiecewiseLinear(lines=final, lo=l_min, hi=l_max)
-    return ParametricAnalysis(envelope=envelope, params=params, graph=graph)
-
-
 # ---------------------------------------------------------------------------
 # batched LP sweeps
 # ---------------------------------------------------------------------------
@@ -547,8 +489,8 @@ def _sweep_one_graph(job) -> PiecewiseLinear:
     from ..artifacts import ArtifactStore, envelope_key
 
     store = ArtifactStore(cache_dir)
-    # deliberately engine-free: both engines produce the identical curve, so
-    # cached entries are shared across envelope_engine choices
+    # the shared store key: engine-free (both envelope engines produce the
+    # identical curve), equal to the analyzer's and the sweep pool's
     key = envelope_key(
         graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces, **build_kwargs
     )

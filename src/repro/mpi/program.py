@@ -7,14 +7,12 @@ produce is a :class:`Program`: for every rank, an ordered list of operations
 with *explicit* computation intervals (since the skeleton knows how long it
 computes, there is no need to infer it from timestamp gaps).
 
-Two conversions close the loop with the paper's artifacts:
-
-* :func:`repro.mpi.tracer.trace_program` turns a :class:`Program` into a
-  timestamped :class:`repro.trace.Trace` (liballprof-style) by replaying it
-  through the LogGOPS simulator at trace-time network parameters;
-* :func:`Program.from_trace` reconstructs a :class:`Program` from such a
-  trace by inferring computation from the gaps between consecutive MPI calls
-  (exactly what Schedgen does, Section II-A / Fig. 3).
+:func:`repro.mpi.tracer.trace_program` closes the loop with the paper's
+artifacts: it turns a :class:`Program` into a timestamped
+:class:`repro.trace.Trace` (liballprof-style) by replaying it through the
+LogGOPS simulator at trace-time network parameters.  Schedgen reads such a
+trace back by inferring computation from the gaps between consecutive MPI
+calls (Section II-A / Fig. 3; :func:`repro.schedgen.columnar.batches_from_trace`).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
-from ..trace.records import COLLECTIVE_OPS, MPIOp, Trace
+from ..trace.records import MPIOp
 
 __all__ = [
     "OpKind",
@@ -238,56 +236,6 @@ class Program:
                         pending.discard(req)
             if pending:
                 raise ValueError(f"rank {rp.rank}: requests never completed: {sorted(pending)}")
-
-    # -- conversions ----------------------------------------------------------
-
-    @classmethod
-    def from_trace(cls, trace: Trace, *, min_compute: float = 0.0) -> "Program":
-        """Reconstruct a program from a timestamped trace.
-
-        The computation between two consecutive MPI calls on a rank is the gap
-        between the end of the first and the start of the second, exactly as
-        Schedgen infers it (Fig. 3 of the paper).  Gaps below ``min_compute``
-        microseconds are dropped.
-        """
-        program = cls.empty(trace.nranks, **trace.meta)
-        for rank_trace in trace:
-            rp = program.rank(rank_trace.rank)
-            prev_end: float | None = None
-            for rec in rank_trace:
-                if rec.op is MPIOp.INIT or rec.is_noop:
-                    prev_end = rec.tend
-                    continue
-                if prev_end is not None:
-                    gap = rec.tstart - prev_end
-                    if gap > min_compute:
-                        rp.append(ProgramOp(kind=OpKind.COMPUTE, cost=gap))
-                if rec.op is MPIOp.FINALIZE:
-                    # computation between the last MPI call and MPI_Finalize has
-                    # been accounted for above; the call itself adds no vertex
-                    prev_end = rec.tend
-                    continue
-                kind = MPI_TO_KIND.get(rec.op)
-                if kind is None:
-                    raise ValueError(f"cannot convert trace record {rec.op} to a program op")
-                is_coll = rec.op in COLLECTIVE_OPS
-                rp.append(
-                    ProgramOp(
-                        kind=kind,
-                        peer=-1 if is_coll else rec.peer,
-                        size=rec.size,
-                        tag=rec.tag,
-                        root=max(rec.peer, 0) if is_coll else 0,
-                        request=rec.request,
-                        requests=rec.requests,
-                        recv_peer=rec.recv_peer,
-                        recv_size=rec.recv_size,
-                        recv_tag=rec.recv_tag,
-                    )
-                )
-                prev_end = rec.tend
-        program.validate()
-        return program
 
     def summary(self) -> dict[str, float]:
         """Aggregate statistics (op counts, total compute, bytes sent)."""

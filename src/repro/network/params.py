@@ -22,6 +22,7 @@ validation test bed (Section III-B) and Piz Daint (Section IV).
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
@@ -53,18 +54,10 @@ class LogGPSParams:
     P: int = 2
 
     def __post_init__(self) -> None:
-        if self.L < 0:
-            raise ValueError(f"L must be non-negative, got {self.L}")
-        if self.o < 0:
-            raise ValueError(f"o must be non-negative, got {self.o}")
-        if self.g < 0:
-            raise ValueError(f"g must be non-negative, got {self.g}")
-        if self.G < 0:
-            raise ValueError(f"G must be non-negative, got {self.G}")
-        if self.O < 0:
-            raise ValueError(f"O must be non-negative, got {self.O}")
-        if self.S < 0:
-            raise ValueError(f"S must be non-negative, got {self.S}")
+        for name in ("L", "o", "g", "G", "O", "S"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.P < 1:
             raise ValueError(f"P must be at least 1, got {self.P}")
 

@@ -85,7 +85,6 @@ class ScenarioFleet:
         l_max: float = 1_000.0,
         sim_deltas: Sequence[float] = (0.0, 10.0),
         backend: str = "auto",
-        builder_engine: str = "auto",
         envelope_engine: str = "auto",
         max_pieces: int = 50_000,
         processes: int | None = None,
@@ -112,7 +111,6 @@ class ScenarioFleet:
         self.l_max = float(l_max)
         self.sim_deltas = tuple(float(d) for d in sim_deltas)
         self.backend = backend
-        self.builder_engine = builder_engine
         self.envelope_engine = envelope_engine
         self.max_pieces = int(max_pieces)
         self.processes = processes
@@ -147,7 +145,6 @@ class ScenarioFleet:
                 sc.nranks,
                 params=sc.params,
                 algorithms=CollectiveAlgorithms(allreduce=sc.allreduce),
-                builder_engine=self.builder_engine,
             )
             graph_of[key] = graph
             digest_of[key] = graph.content_digest()

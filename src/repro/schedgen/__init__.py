@@ -5,7 +5,6 @@ from .builder import (
     ScheduleGenerator,
     UnmatchedMessageError,
     build_graph,
-    resolve_builder_engine,
 )
 from .collectives import (
     COLLECTIVE_TAG_BASE,
@@ -42,7 +41,6 @@ __all__ = [
     "ScheduleGenerator",
     "ProtocolConfig",
     "build_graph",
-    "resolve_builder_engine",
     "RankOpBatch",
     "batches_from_program",
     "batches_from_trace",

@@ -6,28 +6,21 @@ study of Section IV switches ``MPI_Allreduce`` between *recursive doubling*
 and the *ring* algorithm).  This module implements that expansion directly on
 a :class:`repro.schedgen.graph.GraphBuilder`.
 
-Each expansion function receives the builder, the per-rank local frontier
-vertex (the last vertex of each rank's program-order chain, or ``-1`` when a
-rank has no vertex yet) and returns the new per-rank frontier after the
-collective.  Internally every emitted message uses a tag from a dedicated
-collective tag space so that point-to-point matching can never confuse
-user messages with collective traffic.
+Each expander (``batch_*``) receives the builder and the per-rank local
+frontier array (the last vertex of each rank's program-order chain, or
+``-1`` when a rank has no vertex yet), which it advances in place to the
+frontier after the collective.  Internally every emitted message uses a tag
+from a dedicated collective tag space so that point-to-point matching can
+never confuse user messages with collective traffic.
 
-Every algorithm exists in two bit-identical implementations:
-
-* the *legacy* op-by-op expanders (``expand_*``) that emit one vertex per
-  ``add_send``/``add_recv`` call — the reference the parity suite tests
-  against;
-* the *columnar* expanders (``batch_*``) that compute the whole collective
-  as index arithmetic (one ``kind``/``rank``/``peer``/``size``/``tag``
-  array per emission, all ranks at once) and flush it through the bulk
-  :meth:`~repro.schedgen.graph.GraphBuilder.add_vertices` /
-  ``add_dependencies`` APIs via :func:`_emit_chunks`, which threads the
-  per-rank program-order frontier through the batch with one segmented
-  scan instead of a Python loop.
-
-Both are reachable through the ``LEGACY_EXPANDERS`` / ``COLUMNAR_EXPANDERS``
-registries keyed by ``"<collective>_<algorithm>"``.
+An expander computes the whole collective as index arithmetic (one
+``kind``/``rank``/``peer``/``size``/``tag`` array per emission, all ranks at
+once) and flushes it through the bulk
+:meth:`~repro.schedgen.graph.GraphBuilder.add_vertices` /
+``add_dependencies`` APIs via :func:`_emit_chunks`, which threads the
+per-rank program-order frontier through the batch with one segmented scan.
+The ``COLUMNAR_EXPANDERS`` registry is keyed by
+``"<collective>_<algorithm>"``.
 
 Tag-space layout
 ----------------
@@ -69,20 +62,7 @@ __all__ = [
     "RENDEZVOUS_TAG_BASE",
     "USER_TAG_LIMIT",
     "next_collective_tag",
-    "LEGACY_EXPANDERS",
     "COLUMNAR_EXPANDERS",
-    "expand_barrier_dissemination",
-    "expand_bcast_binomial",
-    "expand_bcast_linear",
-    "expand_reduce_binomial",
-    "expand_allreduce_recursive_doubling",
-    "expand_allreduce_ring",
-    "expand_allreduce_reduce_bcast",
-    "expand_allgather_ring",
-    "expand_allgather_recursive_doubling",
-    "expand_alltoall_pairwise",
-    "expand_gather_linear",
-    "expand_scatter_linear",
     "reduce_time_per_byte",
 ]
 
@@ -134,369 +114,24 @@ def reduce_time_per_byte() -> float:
     return _DEFAULT_REDUCE_TIME_PER_BYTE
 
 
-Frontier = list[int]
-
-
 def _chunk_size(size: int, nranks: int) -> int:
     """Per-rank chunk size for ring/reduce-scatter style algorithms."""
     return max(1, math.ceil(size / max(nranks, 1)))
 
 
-def _emit_send(
-    builder: GraphBuilder,
-    frontier: Frontier,
-    rank: int,
-    peer: int,
-    size: int,
-    tag: int,
-) -> int:
-    vid = builder.add_send(rank, peer, size, tag=tag)
-    if frontier[rank] >= 0:
-        builder.add_dependency(frontier[rank], vid)
-    frontier[rank] = vid
-    return vid
-
-
-def _emit_recv(
-    builder: GraphBuilder,
-    frontier: Frontier,
-    rank: int,
-    peer: int,
-    size: int,
-    tag: int,
-) -> int:
-    vid = builder.add_recv(rank, peer, size, tag=tag)
-    if frontier[rank] >= 0:
-        builder.add_dependency(frontier[rank], vid)
-    frontier[rank] = vid
-    return vid
-
-
-def _emit_calc(builder: GraphBuilder, frontier: Frontier, rank: int, cost: float) -> int:
-    if cost <= 0:
-        return frontier[rank]
-    vid = builder.add_calc(rank, cost)
-    if frontier[rank] >= 0:
-        builder.add_dependency(frontier[rank], vid)
-    frontier[rank] = vid
-    return vid
-
-
 # ---------------------------------------------------------------------------
-# barrier
-# ---------------------------------------------------------------------------
-
-def expand_barrier_dissemination(
-    builder: GraphBuilder, frontier: Frontier, *, tag: int, size: int = 1
-) -> None:
-    """Dissemination barrier: ``ceil(log2 P)`` rounds of 1-byte tokens."""
-    nranks = builder.nranks
-    if nranks < 2:
-        return
-    rounds = math.ceil(math.log2(nranks))
-    for k in range(rounds):
-        dist = 1 << k
-        round_tag = tag + k
-        for rank in range(nranks):
-            _emit_send(builder, frontier, rank, (rank + dist) % nranks, size, round_tag)
-        for rank in range(nranks):
-            _emit_recv(builder, frontier, rank, (rank - dist) % nranks, size, round_tag)
-
-
-# ---------------------------------------------------------------------------
-# broadcast / reduce (binomial trees)
-# ---------------------------------------------------------------------------
-
-def expand_bcast_binomial(
-    builder: GraphBuilder, frontier: Frontier, *, root: int, size: int, tag: int
-) -> None:
-    """Binomial-tree broadcast rooted at ``root``.
-
-    Ranks are renumbered relative to the root; in round ``k`` every rank whose
-    relative id is below ``2^k`` and has a partner ``rel + 2^k < P`` forwards
-    the message.
-    """
-    nranks = builder.nranks
-    if nranks < 2:
-        return
-    rounds = math.ceil(math.log2(nranks))
-    for k in range(rounds):
-        dist = 1 << k
-        round_tag = tag + k
-        for rel in range(dist):
-            partner_rel = rel + dist
-            if partner_rel >= nranks:
-                continue
-            src = (rel + root) % nranks
-            dst = (partner_rel + root) % nranks
-            _emit_send(builder, frontier, src, dst, size, round_tag)
-            _emit_recv(builder, frontier, dst, src, size, round_tag)
-
-
-def expand_bcast_linear(
-    builder: GraphBuilder, frontier: Frontier, *, root: int, size: int, tag: int
-) -> None:
-    """Linear broadcast: the root sends to every other rank in turn."""
-    nranks = builder.nranks
-    for offset in range(1, nranks):
-        dst = (root + offset) % nranks
-        _emit_send(builder, frontier, root, dst, size, tag)
-        _emit_recv(builder, frontier, dst, root, size, tag)
-
-
-def expand_reduce_binomial(
-    builder: GraphBuilder,
-    frontier: Frontier,
-    *,
-    root: int,
-    size: int,
-    tag: int,
-    reduce_cost_per_byte: float = _DEFAULT_REDUCE_TIME_PER_BYTE,
-) -> None:
-    """Binomial-tree reduction to ``root`` (mirror image of the broadcast)."""
-    nranks = builder.nranks
-    if nranks < 2:
-        return
-    rounds = math.ceil(math.log2(nranks))
-    for k in reversed(range(rounds)):
-        dist = 1 << k
-        round_tag = tag + k
-        for rel in range(dist):
-            partner_rel = rel + dist
-            if partner_rel >= nranks:
-                continue
-            receiver = (rel + root) % nranks
-            sender = (partner_rel + root) % nranks
-            _emit_send(builder, frontier, sender, receiver, size, round_tag)
-            _emit_recv(builder, frontier, receiver, sender, size, round_tag)
-            _emit_calc(builder, frontier, receiver, reduce_cost_per_byte * size)
-
-
-# ---------------------------------------------------------------------------
-# allreduce
-# ---------------------------------------------------------------------------
-
-def expand_allreduce_recursive_doubling(
-    builder: GraphBuilder,
-    frontier: Frontier,
-    *,
-    size: int,
-    tag: int,
-    reduce_cost_per_byte: float = _DEFAULT_REDUCE_TIME_PER_BYTE,
-) -> None:
-    """Recursive-doubling allreduce.
-
-    For a power-of-two number of ranks this is ``log2 P`` rounds in which rank
-    ``r`` exchanges the full vector with ``r XOR 2^k``.  For non-powers of two
-    the standard fold/unfold scheme is used: the first ``2 * rem`` ranks are
-    folded pairwise onto ``P' = 2^floor(log2 P)`` participants, which run the
-    power-of-two exchange, and the result is unfolded back.
-    """
-    nranks = builder.nranks
-    if nranks < 2:
-        return
-    pof2 = 1 << (nranks.bit_length() - 1)
-    rem = nranks - pof2
-    tag_cursor = tag
-
-    # fold: ranks [0, 2*rem) pair up; odd members send their vector to the even
-    # partner and drop out of the exchange phase.
-    participants: list[int] = []
-    for rank in range(nranks):
-        if rank < 2 * rem:
-            if rank % 2 == 1:
-                partner = rank - 1
-                _emit_send(builder, frontier, rank, partner, size, tag_cursor)
-                _emit_recv(builder, frontier, partner, rank, size, tag_cursor)
-                _emit_calc(builder, frontier, partner, reduce_cost_per_byte * size)
-            else:
-                participants.append(rank)
-        else:
-            participants.append(rank)
-    tag_cursor += 1
-
-    # recursive doubling among `pof2` participants (indexed by their position)
-    rounds = int(math.log2(pof2)) if pof2 > 1 else 0
-    for k in range(rounds):
-        dist = 1 << k
-        round_tag = tag_cursor + k
-        for idx, rank in enumerate(participants):
-            partner = participants[idx ^ dist]
-            _emit_send(builder, frontier, rank, partner, size, round_tag)
-        for idx, rank in enumerate(participants):
-            partner = participants[idx ^ dist]
-            _emit_recv(builder, frontier, rank, partner, size, round_tag)
-            _emit_calc(builder, frontier, rank, reduce_cost_per_byte * size)
-    tag_cursor += max(rounds, 1)
-
-    # unfold: even partners send the result back to the folded odd ranks.
-    for rank in range(nranks):
-        if rank < 2 * rem and rank % 2 == 1:
-            partner = rank - 1
-            _emit_send(builder, frontier, partner, rank, size, tag_cursor)
-            _emit_recv(builder, frontier, rank, partner, size, tag_cursor)
-
-
-def expand_allreduce_ring(
-    builder: GraphBuilder,
-    frontier: Frontier,
-    *,
-    size: int,
-    tag: int,
-    reduce_cost_per_byte: float = _DEFAULT_REDUCE_TIME_PER_BYTE,
-) -> None:
-    """Ring allreduce: reduce-scatter followed by allgather, ``2(P-1)`` steps.
-
-    Every step moves a ``size / P`` chunk to the next rank on the ring, which
-    creates a chain of ``2(P-1)`` dependent messages — exactly the property
-    that makes ICON much more latency sensitive under this algorithm
-    (Section IV-1).
-    """
-    nranks = builder.nranks
-    if nranks < 2:
-        return
-    chunk = _chunk_size(size, nranks)
-    steps = 2 * (nranks - 1)
-    for step in range(steps):
-        step_tag = tag + step
-        reducing = step < nranks - 1
-        for rank in range(nranks):
-            dst = (rank + 1) % nranks
-            _emit_send(builder, frontier, rank, dst, chunk, step_tag)
-        for rank in range(nranks):
-            src = (rank - 1) % nranks
-            _emit_recv(builder, frontier, rank, src, chunk, step_tag)
-            if reducing:
-                _emit_calc(builder, frontier, rank, reduce_cost_per_byte * chunk)
-
-
-def expand_allreduce_reduce_bcast(
-    builder: GraphBuilder,
-    frontier: Frontier,
-    *,
-    size: int,
-    tag: int,
-    root: int = 0,
-    reduce_cost_per_byte: float = _DEFAULT_REDUCE_TIME_PER_BYTE,
-) -> None:
-    """Allreduce implemented as a binomial reduce followed by a binomial bcast."""
-    nranks = builder.nranks
-    if nranks < 2:
-        return
-    rounds = math.ceil(math.log2(nranks))
-    expand_reduce_binomial(
-        builder,
-        frontier,
-        root=root,
-        size=size,
-        tag=tag,
-        reduce_cost_per_byte=reduce_cost_per_byte,
-    )
-    expand_bcast_binomial(builder, frontier, root=root, size=size, tag=tag + rounds + 1)
-
-
-# ---------------------------------------------------------------------------
-# allgather / alltoall / gather / scatter
-# ---------------------------------------------------------------------------
-
-def expand_allgather_ring(
-    builder: GraphBuilder, frontier: Frontier, *, size: int, tag: int
-) -> None:
-    """Ring allgather: ``P - 1`` steps, each moving one rank's contribution."""
-    nranks = builder.nranks
-    if nranks < 2:
-        return
-    for step in range(nranks - 1):
-        step_tag = tag + step
-        for rank in range(nranks):
-            dst = (rank + 1) % nranks
-            _emit_send(builder, frontier, rank, dst, size, step_tag)
-        for rank in range(nranks):
-            src = (rank - 1) % nranks
-            _emit_recv(builder, frontier, rank, src, size, step_tag)
-
-
-def expand_allgather_recursive_doubling(
-    builder: GraphBuilder, frontier: Frontier, *, size: int, tag: int
-) -> None:
-    """Recursive-doubling allgather; the exchanged volume doubles each round.
-
-    Non-power-of-two rank counts fall back to the ring algorithm, matching the
-    behaviour of common MPI implementations.
-    """
-    nranks = builder.nranks
-    if nranks < 2:
-        return
-    if nranks & (nranks - 1):
-        expand_allgather_ring(builder, frontier, size=size, tag=tag)
-        return
-    rounds = int(math.log2(nranks))
-    for k in range(rounds):
-        dist = 1 << k
-        round_tag = tag + k
-        volume = size * dist
-        for rank in range(nranks):
-            partner = rank ^ dist
-            _emit_send(builder, frontier, rank, partner, volume, round_tag)
-        for rank in range(nranks):
-            partner = rank ^ dist
-            _emit_recv(builder, frontier, rank, partner, volume, round_tag)
-
-
-def expand_alltoall_pairwise(
-    builder: GraphBuilder, frontier: Frontier, *, size: int, tag: int
-) -> None:
-    """Pairwise-exchange alltoall: ``P - 1`` rounds, partner ``(r + k) mod P``.
-
-    ``size`` is the per-peer payload (what each rank sends to each other
-    rank), matching ``MPI_Alltoall`` semantics.
-    """
-    nranks = builder.nranks
-    if nranks < 2:
-        return
-    for step in range(1, nranks):
-        step_tag = tag + step
-        for rank in range(nranks):
-            dst = (rank + step) % nranks
-            _emit_send(builder, frontier, rank, dst, size, step_tag)
-        for rank in range(nranks):
-            src = (rank - step) % nranks
-            _emit_recv(builder, frontier, rank, src, size, step_tag)
-
-
-def expand_gather_linear(
-    builder: GraphBuilder, frontier: Frontier, *, root: int, size: int, tag: int
-) -> None:
-    """Linear gather: every non-root rank sends its contribution to the root."""
-    nranks = builder.nranks
-    for offset in range(1, nranks):
-        src = (root + offset) % nranks
-        _emit_send(builder, frontier, src, root, size, tag)
-        _emit_recv(builder, frontier, root, src, size, tag)
-
-
-def expand_scatter_linear(
-    builder: GraphBuilder, frontier: Frontier, *, root: int, size: int, tag: int
-) -> None:
-    """Linear scatter: the root sends each rank its chunk."""
-    nranks = builder.nranks
-    for offset in range(1, nranks):
-        dst = (root + offset) % nranks
-        _emit_send(builder, frontier, root, dst, size, tag)
-        _emit_recv(builder, frontier, dst, root, size, tag)
-
-
-# ---------------------------------------------------------------------------
-# columnar expansion engine
+# expansion engine
 # ---------------------------------------------------------------------------
 #
 # A *chunk* is one tuple of equal-length columns ``(kind, rank, peer, size,
 # tag, cost)`` describing consecutive vertices in emission order.  Each
 # ``batch_*`` expander assembles the whole collective as a list of chunks
 # (rounds, folds, interleaved pairs) with pure index arithmetic and flushes
-# them through :func:`_emit_chunks`, which reproduces — bit for bit — the
-# vertex order, dependency-edge order and frontier evolution of the legacy
-# op-by-op expanders.
+# them through :func:`_emit_chunks`.  Emission order is part of the graph's
+# identity (``src/repro/schedgen/README.md``, "Vertex/edge ordering
+# guarantee"): per round, all sends then all receives for exchange-style
+# algorithms, and interleaved send/recv[/calc] pairs for tree and linear
+# ones.
 
 _V_CALC = int(VertexKind.CALC)
 _V_SEND = int(VertexKind.SEND)
@@ -543,9 +178,9 @@ def _uniform_rounds_chunk(
 
     ``send_peers``/``recv_peers`` are ``(rounds, P)`` matrices; ``sizes`` is
     a scalar or per-round vector; ``tags`` is the per-round tag vector.  The
-    emission order of every round is the legacy one — all P sends, then all
-    P recvs — so flattening round-major reproduces the op-by-op order with a
-    handful of ``tile``/``repeat`` calls instead of per-round chunk lists.
+    emission order of every round is all P sends, then all P recvs, so the
+    whole collective is a handful of ``tile``/``repeat`` calls instead of
+    per-round chunk lists.
     """
     rounds, width = send_peers.shape
     per_round = 2 * width
@@ -570,8 +205,8 @@ def _uniform_rounds_chunk(
 def _interleave(parts: Sequence[_Chunk]) -> _Chunk:
     """Merge k equal-length chunks round-robin: row i is ``parts[i % k][i // k]``.
 
-    This reproduces the legacy per-pair emission order (send, recv[, calc])
-    as one flat chunk.
+    This is the per-pair emission order (send, recv[, calc]) as one flat
+    chunk.
     """
     k = len(parts)
     if k == 1:
@@ -593,10 +228,9 @@ def _emit_chunks(builder: GraphBuilder, frontier: np.ndarray, chunks: list[_Chun
     vectorised pass: for every emitted vertex the dependency source is the
     previous vertex of the same rank *within the batch*, or the incoming
     ``frontier`` entry for the rank's first vertex (no edge when that is
-    ``-1``).  Dependency edges are appended in emission order — identical to
-    the legacy expanders, which add each vertex's incoming edge right after
-    the vertex itself.  ``frontier`` is updated in place to the last vertex
-    of each participating rank.
+    ``-1``).  Dependency edges are appended in emission order, each vertex's
+    incoming edge right after the vertex itself.  ``frontier`` is updated in
+    place to the last vertex of each participating rank.
     """
     chunks = [c for c in chunks if len(c[0])]
     if not chunks:
@@ -629,12 +263,12 @@ def _emit_chunks(builder: GraphBuilder, frontier: np.ndarray, chunks: list[_Chun
     np.maximum.at(frontier, rank, vids)
 
 
-# -- columnar counterparts of the expand_* functions -------------------------
+# -- expanders ------------------------------------------------------------------
 
 def batch_barrier_dissemination(
     builder: GraphBuilder, frontier: np.ndarray, *, tag: int, size: int = 1
 ) -> None:
-    """Columnar dissemination barrier (see :func:`expand_barrier_dissemination`)."""
+    """Dissemination barrier: ``ceil(log2 P)`` rounds of 1-byte tokens."""
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -659,7 +293,12 @@ def _binomial_pairs(nranks: int, root: int, dist: int) -> tuple[np.ndarray, np.n
 def batch_bcast_binomial(
     builder: GraphBuilder, frontier: np.ndarray, *, root: int, size: int, tag: int
 ) -> None:
-    """Columnar binomial-tree broadcast (see :func:`expand_bcast_binomial`)."""
+    """Binomial-tree broadcast rooted at ``root``.
+
+    Ranks are renumbered relative to the root; in round ``k`` every rank whose
+    relative id is below ``2^k`` and has a partner ``rel + 2^k < P`` forwards
+    the message.
+    """
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -679,7 +318,7 @@ def batch_bcast_binomial(
 def batch_bcast_linear(
     builder: GraphBuilder, frontier: np.ndarray, *, root: int, size: int, tag: int
 ) -> None:
-    """Columnar linear broadcast (see :func:`expand_bcast_linear`)."""
+    """Linear broadcast: the root sends to every other rank in turn."""
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -699,7 +338,7 @@ def batch_reduce_binomial(
     tag: int,
     reduce_cost_per_byte: float = _DEFAULT_REDUCE_TIME_PER_BYTE,
 ) -> None:
-    """Columnar binomial-tree reduction (see :func:`expand_reduce_binomial`)."""
+    """Binomial-tree reduction to ``root`` (mirror image of the broadcast)."""
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -728,8 +367,14 @@ def batch_allreduce_recursive_doubling(
     tag: int,
     reduce_cost_per_byte: float = _DEFAULT_REDUCE_TIME_PER_BYTE,
 ) -> None:
-    """Columnar recursive-doubling allreduce (see
-    :func:`expand_allreduce_recursive_doubling`)."""
+    """Recursive-doubling allreduce.
+
+    For a power-of-two number of ranks this is ``log2 P`` rounds in which rank
+    ``r`` exchanges the full vector with ``r XOR 2^k``.  For non-powers of two
+    the standard fold/unfold scheme is used: the first ``2 * rem`` ranks are
+    folded pairwise onto ``P' = 2^floor(log2 P)`` participants, which run the
+    power-of-two exchange, and the result is unfolded back.
+    """
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -791,7 +436,13 @@ def batch_allreduce_ring(
     tag: int,
     reduce_cost_per_byte: float = _DEFAULT_REDUCE_TIME_PER_BYTE,
 ) -> None:
-    """Columnar ring allreduce (see :func:`expand_allreduce_ring`)."""
+    """Ring allreduce: reduce-scatter followed by allgather, ``2(P-1)`` steps.
+
+    Every step moves a ``size / P`` chunk to the next rank on the ring, which
+    creates a chain of ``2(P-1)`` dependent messages — exactly the property
+    that makes ICON much more latency sensitive under this algorithm
+    (Section IV-1).
+    """
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -828,7 +479,7 @@ def batch_allreduce_reduce_bcast(
     root: int = 0,
     reduce_cost_per_byte: float = _DEFAULT_REDUCE_TIME_PER_BYTE,
 ) -> None:
-    """Columnar reduce+bcast allreduce (see :func:`expand_allreduce_reduce_bcast`)."""
+    """Allreduce as a binomial reduce followed by a binomial bcast."""
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -847,7 +498,7 @@ def batch_allreduce_reduce_bcast(
 def batch_allgather_ring(
     builder: GraphBuilder, frontier: np.ndarray, *, size: int, tag: int
 ) -> None:
-    """Columnar ring allgather (see :func:`expand_allgather_ring`)."""
+    """Ring allgather: ``P - 1`` steps, each moving one rank's contribution."""
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -864,8 +515,11 @@ def batch_allgather_ring(
 def batch_allgather_recursive_doubling(
     builder: GraphBuilder, frontier: np.ndarray, *, size: int, tag: int
 ) -> None:
-    """Columnar recursive-doubling allgather (see
-    :func:`expand_allgather_recursive_doubling`)."""
+    """Recursive-doubling allgather; the exchanged volume doubles each round.
+
+    Non-power-of-two rank counts fall back to the ring algorithm, matching the
+    behaviour of common MPI implementations.
+    """
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -885,7 +539,11 @@ def batch_allgather_recursive_doubling(
 def batch_alltoall_pairwise(
     builder: GraphBuilder, frontier: np.ndarray, *, size: int, tag: int
 ) -> None:
-    """Columnar pairwise-exchange alltoall (see :func:`expand_alltoall_pairwise`)."""
+    """Pairwise-exchange alltoall: ``P - 1`` rounds, partner ``(r + k) mod P``.
+
+    ``size`` is the per-peer payload (what each rank sends to each other
+    rank), matching ``MPI_Alltoall`` semantics.
+    """
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -901,7 +559,7 @@ def batch_alltoall_pairwise(
 def batch_gather_linear(
     builder: GraphBuilder, frontier: np.ndarray, *, root: int, size: int, tag: int
 ) -> None:
-    """Columnar linear gather (see :func:`expand_gather_linear`)."""
+    """Linear gather: every non-root rank sends its contribution to the root."""
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -915,7 +573,7 @@ def batch_gather_linear(
 def batch_scatter_linear(
     builder: GraphBuilder, frontier: np.ndarray, *, root: int, size: int, tag: int
 ) -> None:
-    """Columnar linear scatter (see :func:`expand_scatter_linear`)."""
+    """Linear scatter: the root sends each rank its chunk."""
     nranks = builder.nranks
     if nranks < 2:
         return
@@ -926,23 +584,7 @@ def batch_scatter_linear(
     ])])
 
 
-#: op-by-op reference expanders, keyed by ``"<collective>_<algorithm>"``
-LEGACY_EXPANDERS: dict[str, Callable] = {
-    "barrier_dissemination": expand_barrier_dissemination,
-    "bcast_binomial": expand_bcast_binomial,
-    "bcast_linear": expand_bcast_linear,
-    "reduce_binomial": expand_reduce_binomial,
-    "allreduce_recursive_doubling": expand_allreduce_recursive_doubling,
-    "allreduce_ring": expand_allreduce_ring,
-    "allreduce_reduce_bcast": expand_allreduce_reduce_bcast,
-    "allgather_ring": expand_allgather_ring,
-    "allgather_recursive_doubling": expand_allgather_recursive_doubling,
-    "alltoall_pairwise": expand_alltoall_pairwise,
-    "gather_linear": expand_gather_linear,
-    "scatter_linear": expand_scatter_linear,
-}
-
-#: vectorised expanders, bit-identical to their legacy counterparts
+#: collective expanders, keyed by ``"<collective>_<algorithm>"``
 COLUMNAR_EXPANDERS: dict[str, Callable] = {
     "barrier_dissemination": batch_barrier_dissemination,
     "bcast_binomial": batch_bcast_binomial,

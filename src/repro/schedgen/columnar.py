@@ -1,8 +1,8 @@
 """Columnar schedule-generation engine (array-native Schedgen front-end).
 
-PRs 1–3 made everything downstream of a frozen
-:class:`~repro.schedgen.graph.ExecutionGraph` array-native; this module does
-the same for *constructing* the graph.  Instead of walking programs or
+Everything downstream of a frozen
+:class:`~repro.schedgen.graph.ExecutionGraph` is array-native; this module
+does the same for *constructing* the graph.  Instead of walking programs or
 traces one operation at a time and emitting vertices through per-call
 builder methods, the columnar engine
 
@@ -21,14 +21,13 @@ builder methods, the columnar engine
 3. expands collectives through the ``batch_*`` expanders of
    :mod:`repro.schedgen.collectives` (whole rounds as index arithmetic);
 4. pairs sends and receives with a vectorised sort-based FIFO matcher
-   (:func:`match_messages`) instead of the per-vertex queue scan.
+   (:func:`match_messages`).
 
-The result is **bit-identical** to the legacy op-by-op engine — same vertex
-ids, same vertex attribute columns, same edge order, same labels — which the
-parity suite (``tests/test_schedgen_columnar.py``) asserts across every
-collective algorithm, rendezvous on/off, random point-to-point programs and
-trace-driven builds.  See ``src/repro/schedgen/README.md`` for the ordering
-contract.
+The vertex ids, attribute columns, edge order and labels follow a fixed
+ordering contract (``src/repro/schedgen/README.md``); the golden-digest
+corpus (``tests/data/schedgen_golden.json``) pins the resulting graphs
+across every collective algorithm, rendezvous on/off, random point-to-point
+programs and trace-driven builds.
 """
 
 from __future__ import annotations
@@ -422,6 +421,46 @@ class ScheduleBatches:
         return self.graph_for(params).content_digest()
 
 
+#: collective kind -> its :class:`~repro.schedgen.collectives.CollectiveAlgorithms` field
+_ALGORITHM_FIELD = {
+    OpKind.BARRIER: "barrier",
+    OpKind.BCAST: "bcast",
+    OpKind.REDUCE: "reduce",
+    OpKind.ALLREDUCE: "allreduce",
+    OpKind.ALLGATHER: "allgather",
+    OpKind.ALLTOALL: "alltoall",
+    OpKind.GATHER: "gather",
+    OpKind.SCATTER: "scatter",
+}
+
+#: expanders that take a ``root`` argument
+_ROOTED_EXPANDERS = frozenset({
+    "bcast_binomial", "bcast_linear", "reduce_binomial", "allreduce_reduce_bcast",
+    "gather_linear", "scatter_linear",
+})
+
+
+def _expand_collective(
+    builder: GraphBuilder,
+    frontier: np.ndarray,
+    *,
+    kind: OpKind,
+    size: int,
+    root: int,
+    algorithms,
+    tag: int,
+) -> None:
+    """Emit one collective through the algorithm ``algorithms`` selects."""
+    field = _ALGORITHM_FIELD[kind]
+    name = f"{field}_{getattr(algorithms, field)}"
+    kwargs = {"tag": tag}
+    if kind is not OpKind.BARRIER:
+        kwargs["size"] = size
+    if name in _ROOTED_EXPANDERS:
+        kwargs["root"] = root
+    coll.COLUMNAR_EXPANDERS[name](builder, frontier, **kwargs)
+
+
 def _populate_builder(
     batches: list[RankOpBatch],
     nranks: int,
@@ -431,8 +470,6 @@ def _populate_builder(
     mmap_dir=None,
 ) -> GraphBuilder:
     """The shared build core: emit all vertices/edges into a fresh builder."""
-    from .builder import _expand_collective
-
     if len(batches) != nranks:
         raise ValueError(f"expected {nranks} batches, got {len(batches)}")
     builder = GraphBuilder(nranks=nranks, mmap_dir=mmap_dir)
@@ -489,7 +526,6 @@ def _populate_builder(
                 root=int(roots[segment]),
                 algorithms=algorithms,
                 tag=tag,
-                expanders=coll.COLUMNAR_EXPANDERS,
             )
 
     for rank, pending in enumerate(request_state):
@@ -548,9 +584,9 @@ def _emit_segment(
     triples with offset arithmetic, derive every program-order dependency
     edge from one segmented running-max scan over the advancing vertices,
     splice in the wait-join edges, and flush vertices + edges through the
-    bulk builder APIs.  Vertex and edge order reproduce the legacy engine
-    exactly (rank-major within the segment, each vertex's incoming edge in
-    vertex order, join edges right after the join's frontier edge).
+    bulk builder APIs.  Vertex and edge order follow the ordering contract
+    (rank-major within the segment, each vertex's incoming edge in vertex
+    order, join edges right after the join's frontier edge).
 
     Segments made of only blocking operations (compute/send/recv — the
     shape of collective-dominated schedules and simple traced phases) skip
@@ -1273,9 +1309,9 @@ def match_messages(builder: GraphBuilder) -> None:
     ``s`` with tag ``t`` — implemented as two stable lexicographic sorts by
     ``(src, dst, tag, vertex id)``: within each key group the vertices stay
     in posting (vid) order, so zipping the two sorted sequences yields the
-    FIFO pairing.  Edges are appended sorted by ``max(send, recv)``, which
-    is exactly the order in which the legacy single-scan matcher discovers
-    the pairs (an edge materialises when the *later* endpoint is scanned).
+    FIFO pairing.  Edges are appended sorted by ``max(send, recv)``: the
+    order in which a single scan in vertex-id order would discover the pairs
+    (an edge materialises when the *later* endpoint is scanned).
     """
     from .builder import UnmatchedMessageError, _summarise_unmatched
 

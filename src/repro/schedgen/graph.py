@@ -685,10 +685,10 @@ class ExecutionGraph:
         The digest covers ``nranks``, every column of
         :attr:`CONTENT_COLUMNS` as canonical little-endian bytes, and the
         labels in ascending vertex order, behind a versioned domain prefix.
-        Because the legacy and columnar schedule-generation engines produce
-        bit-identical frozen graphs (the deterministic order contract), the
-        same schedule hashes identically regardless of how it was built —
-        which makes the digest a sound :mod:`repro.artifacts` cache key.
+        Because schedule generation follows a deterministic order contract,
+        the same schedule hashes identically whichever route built it
+        (frozen, fused or loaded from the store) — which makes the digest a
+        sound :mod:`repro.artifacts` cache key.
         Cached after the first call (the graph is immutable).
         """
         if self._content_digest is None:

@@ -19,10 +19,8 @@ from .injector import (
     two_message_model,
 )
 from .loggops import (
-    SIM_ENGINES,
     LogGOPSSimulator,
     SimulationResult,
-    resolve_sim_engine,
     simulate,
 )
 from .noise import GaussianNoise, NoiseModel, NoNoise, OSJitterNoise
@@ -36,8 +34,6 @@ __all__ = [
     "simulate_level",
     "simulate_sweep",
     "simulate_sweep_grid",
-    "SIM_ENGINES",
-    "resolve_sim_engine",
     "LatencyInjector",
     "IdealInjector",
     "SenderDelayInjector",

@@ -34,6 +34,7 @@ compares both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,32 +49,18 @@ __all__ = [
     "SimulationResult",
     "LogGOPSSimulator",
     "simulate",
-    "SIM_ENGINES",
     "resolve_sim_engine",
 ]
 
-#: valid values of the ``sim_engine`` knob (mirrors the LP/builder engines)
-SIM_ENGINES = ("auto", "legacy", "level")
 
+def resolve_sim_engine(engine: str = "level", num_vertices: int = 0) -> str:
+    """The simulation engine: always ``"level"``.
 
-def resolve_sim_engine(engine: str, num_vertices: int) -> str:
-    """Resolve the ``auto`` simulation-engine policy for a graph size.
-
-    Mirrors the LP-side ``engine="auto"`` and the builder-side
-    ``builder_engine="auto"`` choices: the level-synchronous vectorised
-    engine (:mod:`repro.simulator.columnar`) at or above
-    :data:`~repro.core.lp_builder.COMPILED_ENGINE_THRESHOLD` vertices, the
-    per-vertex legacy walk below it.  Both engines are timestamp-identical.
+    Kept because external instrumentation (the pipeline benchmark's per-layer
+    trace) wraps this name to count legacy-engine runs; nothing in the
+    package calls it.
     """
-    if engine not in SIM_ENGINES:
-        raise ValueError(
-            f"unknown sim engine {engine!r}; expected one of {SIM_ENGINES}"
-        )
-    if engine != "auto":
-        return engine
-    from ..core.lp_builder import COMPILED_ENGINE_THRESHOLD
-
-    return "level" if num_vertices >= COMPILED_ENGINE_THRESHOLD else "legacy"
+    return "level"
 
 
 @dataclass
@@ -145,13 +132,13 @@ class SimulationResult:
 
 
 class LogGOPSSimulator:
-    """Replay execution graphs under the LogGOPS model (legacy engine).
+    """Replay execution graphs under the LogGOPS model, one vertex at a time.
 
     The per-vertex reference walk: one Python iteration per vertex in the
-    canonical topological order.  The level-synchronous vectorised engine
-    (:mod:`repro.simulator.columnar`) is timestamp-identical and ~90x
-    faster on trace-scale graphs; :func:`simulate` picks between them via
-    ``sim_engine``.
+    canonical topological order.  Production runs go through :func:`simulate`
+    and the level-synchronous engine (:mod:`repro.simulator.columnar`); the
+    tests pin that engine's timestamps to this walk for every injector ×
+    noise combination.
     """
 
     def __init__(
@@ -240,28 +227,18 @@ def simulate(
     delta_L: float = 0.0,
     injector: LatencyInjector | None = None,
     noise: NoiseModel | None = None,
-    sim_engine: str = "auto",
 ) -> SimulationResult:
-    """Simulate once, selecting the engine through ``sim_engine``.
+    """Simulate once with the level-synchronous engine.
 
     ``delta_L`` adds latency through an :class:`IdealInjector` unless an
-    explicit injector is supplied.  ``sim_engine`` mirrors the LP/builder
-    engine knobs: ``"legacy"`` is the per-vertex reference walk
-    (:class:`LogGOPSSimulator`), ``"level"`` the level-synchronous
-    vectorised engine (:mod:`repro.simulator.columnar`), and ``"auto"``
-    (default) picks the level engine for graphs of at least
-    :data:`~repro.core.lp_builder.COMPILED_ENGINE_THRESHOLD` vertices.
-    The two engines are timestamp-identical.
+    explicit injector is supplied.
     """
+    if not math.isfinite(delta_L):
+        raise ValueError(f"delta_L must be finite, got {delta_L!r}")
     if injector is None:
         injector = IdealInjector(delta_L)
     elif delta_L:
         raise ValueError("pass either delta_L or an explicit injector, not both")
-    engine = resolve_sim_engine(sim_engine, graph.num_vertices)
-    if engine == "level":
-        from .columnar import simulate_level
+    from .columnar import simulate_level
 
-        if noise is None:
-            noise = NoNoise()
-        return simulate_level(graph, params, injector, noise)
-    return LogGOPSSimulator(graph, params, injector=injector, noise=noise).run()
+    return simulate_level(graph, params, injector, noise if noise is not None else NoNoise())

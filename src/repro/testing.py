@@ -104,7 +104,7 @@ def build_random_program(
 ):
     """A random valid point-to-point :class:`~repro.mpi.program.Program`.
 
-    Used by the builder-engine parity suite: every round appends random
+    Used by the schedule-generator golden corpus: every round appends random
     computation, then one randomly shaped exchange between a random rank
     pair — blocking send/recv, a non-blocking isend/irecv pair closed by
     ``wait``/``waitall``, or a same-size ``sendrecv`` swap.  Message sizes

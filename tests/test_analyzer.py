@@ -1,5 +1,7 @@
 """Tests for the high-level LatencyAnalyzer API."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,17 @@ class TestTolerance:
         delta = analyzer.latency_tolerance(0.02, absolute=False)
         assert absolute == pytest.approx(delta + PARAMS.L)
 
+    def test_communication_free_graph_tolerates_any_latency(self):
+        from repro.apps import lulesh
+        from repro.network.params import CSCS_TESTBED
+
+        graph = lulesh.build(1, CSCS_TESTBED)
+        assert graph.num_messages == 0
+        analyzer = LatencyAnalyzer(graph, CSCS_TESTBED)
+        assert analyzer.latency_tolerance(0.01) == math.inf
+        assert analyzer.latency_tolerance(0.01, absolute=False) == math.inf
+        assert analyzer.tolerance_report().tolerance(0.05) == math.inf
+
 
 class TestCurves:
     def test_sensitivity_curve_shapes(self, analyzer):
@@ -181,7 +194,7 @@ class TestFusedEngine:
         frozen = LatencyAnalyzer(
             build_graph(program, protocol=ProtocolConfig.from_params(PARAMS)), PARAMS
         )
-        fused = LatencyAnalyzer.from_program(program, PARAMS, lp_engine="fused")
+        fused = LatencyAnalyzer.from_program(program, PARAMS)
         assert fused.baseline_runtime() == pytest.approx(frozen.baseline_runtime())
         assert fused.latency_sensitivity(5.0) == pytest.approx(
             frozen.latency_sensitivity(5.0)
@@ -212,6 +225,10 @@ class TestFusedEngine:
         assert fused.graph.content_digest() == frozen.content_digest()
 
     def test_unknown_lp_engine_rejected(self):
-        analyzer = LatencyAnalyzer.from_program(self._program(), PARAMS, lp_engine="warp")
-        with pytest.raises(ValueError, match="engine"):
-            analyzer.baseline_runtime()
+        from repro.core import build_lp
+        from repro.schedgen.columnar import ScheduleBatches
+
+        spec = ScheduleBatches.from_program(self._program())
+        for engine in ("warp", "auto", "fused"):
+            with pytest.raises(ValueError, match="engine"):
+                build_lp(spec, PARAMS, engine=engine)

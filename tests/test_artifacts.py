@@ -9,6 +9,7 @@ cached paths wired through :class:`LatencyAnalyzer.batched_sweep`,
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,12 +95,14 @@ class TestContentDigests:
 
     def test_legacy_and_columnar_builds_hash_identically(self):
         # the deterministic-order contract makes content addressing sound:
-        # both construction engines must produce the same digest
+        # the golden digests were recorded while an op-by-op reference
+        # builder and the columnar engine agreed on them
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "schedgen_golden.json").read_text()
+        )
         for seed in (0, 1, 2):
-            program = build_random_program(seed)
-            legacy = build_graph(program, params=PARAMS, builder_engine="legacy")
-            columnar = build_graph(program, params=PARAMS, builder_engine="columnar")
-            assert legacy.content_digest() == columnar.content_digest()
+            graph = build_graph(build_random_program(seed, nranks=4, rounds=15))
+            assert graph.content_digest() == golden[f"random/default/seed{seed}"]
 
     def test_params_digest_sensitive_to_every_field(self):
         base = LogGPSParams(L=1.0, o=0.2, g=0.3, G=0.004, S=512, P=4)
@@ -446,6 +449,59 @@ class TestAnalyzerCache:
     def test_uncached_analyzer_has_no_store(self):
         analyzer = LatencyAnalyzer(build_running_example(), PARAMS)
         assert analyzer.store is None
+
+
+class TestSharedEnvelopeKey:
+    """Analyzer, ``batched_sweep_graphs`` and the sweep pool share one key."""
+
+    def test_analyzer_warmed_entry_hits_graph_sweeps_and_pool_tasks(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.parallel import SweepTask
+
+        graph = build_random_dag(27)
+        warmed = LatencyAnalyzer(graph, PARAMS, cache_dir=str(tmp_path))
+        reference = warmed.batched_sweep(l_max=40.0).envelope
+        store = ArtifactStore(tmp_path)
+        assert store.stats()["kinds"]["envelope"]["entries"] == 1
+
+        task = SweepTask(
+            graph.content_digest(), PARAMS.content_digest(),
+            l_min=PARAMS.L, l_max=40.0,
+        )
+        assert store.contains("envelope", task.store_key())
+
+        # a hit must never build: make every envelope builder fail
+        def refuse(*args, **kwargs):
+            raise AssertionError("envelope rebuilt instead of served from the store")
+
+        monkeypatch.setattr("repro.core.envelope.forward_envelope", refuse)
+        monkeypatch.setattr("repro.core.lp_builder.build_lp", refuse)
+        served = batched_sweep_graphs(
+            [graph], PARAMS, l_min=PARAMS.L, l_max=40.0, cache_dir=str(tmp_path)
+        )
+        xs = np.linspace(PARAMS.L, 40.0, 17)
+        assert np.array_equal(served[0].sample(xs), reference.sample(xs))
+        assert store.stats()["kinds"]["envelope"]["entries"] == 1
+
+    def test_gap_symbolic_is_the_global_gap_mode(self, tmp_path):
+        graph = build_random_dag(27)
+        LatencyAnalyzer(
+            graph, PARAMS, gap_symbolic=True, cache_dir=str(tmp_path)
+        ).batched_sweep(l_max=40.0)
+        key = envelope_key(
+            graph, PARAMS, l_min=PARAMS.L, l_max=40.0, gap_mode="global"
+        )
+        assert ArtifactStore(tmp_path).contains("envelope", key)
+
+    def test_lp_engine_and_defaults_do_not_split_the_key(self):
+        graph = build_running_example()
+        base = envelope_key(graph, PARAMS, l_min=0.0, l_max=5.0)
+        assert base == envelope_key(
+            graph, PARAMS, l_min=0.0, l_max=5.0, engine="symbolic",
+            latency_mode="global", gap_mode="constant", max_pieces=50_000,
+        )
+        assert base != envelope_key(graph, PARAMS, l_min=0.0, l_max=5.0, max_pieces=9)
 
 
 class TestBatchedSweepGraphsCache:

@@ -10,7 +10,7 @@ from repro.core import (
     LatencyAnalyzer,
     batched_sweep_graphs,
     build_lp,
-    parametric_analysis,
+    forward_envelope,
 )
 from repro.network.params import LogGPSParams
 from repro.testing import build_random_dag, build_running_example, build_staircase
@@ -36,9 +36,9 @@ class TestBatchedSweep:
 
     def test_breakpoints_match_parametric_engine(self, running_example, paper_params):
         sweep = BatchedSweep(build_lp(running_example, paper_params), l_min=0.0, l_max=2.0)
-        reference = parametric_analysis(
+        reference = forward_envelope(
             running_example, paper_params, l_min=0.0, l_max=2.0
-        ).critical_latencies()
+        ).breakpoints()
         assert sweep.breakpoints() == pytest.approx(reference, abs=1e-6)
         assert sweep.breakpoints() == pytest.approx([0.385], abs=1e-6)
 

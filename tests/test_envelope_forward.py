@@ -27,10 +27,10 @@ from repro.core import (
     find_critical_latencies,
     forward_envelope,
     forward_incompatibility,
-    parametric_analysis,
     resolve_envelope_engine,
 )
 from repro.core.envelope import forward_supports_modes
+from repro.lp.parametric import ParametricLP
 from repro.network.params import LogGPSParams
 from repro.schedgen import build_graph
 from repro.testing import (
@@ -103,8 +103,12 @@ class TestForwardParity:
         graph = build_running_example()
         forward = forward_envelope(graph, PARAMS, l_min=0.0, l_max=50.0)
         assert_envelopes_identical(forward, lp_envelope(graph, PARAMS, l_max=50.0))
-        analysis = parametric_analysis(graph, PARAMS, l_min=0.0, l_max=50.0)
-        assert_envelopes_identical(forward, analysis.envelope)
+        lp = build_lp(graph, PARAMS)
+        oracle = ParametricLP(lp.model)
+        for L in (0.0, 0.2, 1.0, 49.0):
+            tangent = oracle.probe(lp.latency, L)
+            assert forward.value(L) == pytest.approx(tangent.value, abs=1e-9)
+            assert forward.slope(L) == pytest.approx(tangent.slope, abs=1e-9)
 
     def test_staircase_has_exact_breakpoints(self):
         k = 6

@@ -133,7 +133,7 @@ class TestAgainstGraphAnalysis:
 
 
 class TestFusedEngineOption:
-    """``build_lp(engine="fused")`` and ``ScheduleBatches`` sources."""
+    """``ScheduleBatches`` sources: the fused batches→CSR lowering."""
 
     @staticmethod
     def _program_and_graph(params):
@@ -149,20 +149,6 @@ class TestFusedEngineOption:
         program = run_program(app, 4)
         graph = build_graph(program, protocol=ProtocolConfig.from_params(params))
         return program, graph
-
-    def test_fused_on_frozen_graph_falls_back_to_compiled(self, paper_params):
-        import numpy as np
-
-        _, graph = self._program_and_graph(paper_params)
-        fused = build_lp(graph, paper_params, engine="fused")
-        compiled = build_lp(graph, paper_params, engine="compiled")
-        a, b = fused.model.to_arrays(), compiled.model.to_arrays()
-        assert a.keys() == b.keys()
-        for key in a:
-            if isinstance(a[key], np.ndarray):
-                np.testing.assert_array_equal(a[key], b[key], err_msg=key)
-            else:
-                assert a[key] == b[key], key
 
     def test_schedule_batches_source_matches_frozen_graph(self, paper_params):
         import numpy as np

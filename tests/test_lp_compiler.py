@@ -10,7 +10,7 @@ the tangent-envelope search, placement) runs unchanged on compiled models.
 import numpy as np
 import pytest
 
-from repro.core import COMPILED_ENGINE_THRESHOLD, build_lp, find_critical_latencies
+from repro.core import build_lp, find_critical_latencies
 from repro.core.parametric import BatchedSweep
 from repro.lp.assembler import assemble
 from repro.lp.model import LPModel
@@ -214,15 +214,13 @@ class TestCompiledModelProtocol:
 
 
 class TestEngineSelection:
-    def test_auto_threshold(self):
+    def test_default_is_compiled_at_every_size(self):
         small = build_running_example()
-        lp_small = build_lp(small, PARAMS, engine="auto")
-        assert lp_small.model._deferred_rows is None  # symbolic path
-        assert small.num_vertices < COMPILED_ENGINE_THRESHOLD
         big = build_random_dag(11, nranks=6, rounds=40)
-        assert big.num_vertices >= COMPILED_ENGINE_THRESHOLD
-        lp_big = build_lp(big, PARAMS, engine="auto")
-        assert lp_big.model._deferred_rows is not None  # compiled, untouched
+        for graph in (small, big):
+            # compiled CSR rows stay deferred until first touched
+            assert build_lp(graph, PARAMS).model._deferred_rows is not None
+        assert build_lp(small, PARAMS, engine="symbolic").model._deferred_rows is None
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import analyze_critical_path, build_lp, parametric_analysis
+from repro.core import LatencyAnalyzer, analyze_critical_path, build_lp
 from repro.core.parametric import Line, PiecewiseLinear, _upper_envelope
 from repro.network.params import LogGPSParams
 from repro.schedgen.graph import GraphBuilder
@@ -88,9 +88,13 @@ class TestPiecewiseLinear:
             PiecewiseLinear(lines=[], lo=0.0, hi=1.0)
 
 
+def _parametric(graph, params, *, l_min=0.0, l_max=10_000.0):
+    return LatencyAnalyzer(graph, params).parametric(l_min=l_min, l_max=l_max)
+
+
 class TestParametricAnalysis:
     def test_running_example(self, running_example, paper_params):
-        analysis = parametric_analysis(running_example, paper_params, l_min=0.0, l_max=5.0)
+        analysis = _parametric(running_example, paper_params, l_min=0.0, l_max=5.0)
         assert analysis.runtime(0.0) == pytest.approx(1.5)
         assert analysis.runtime(0.5) == pytest.approx(1.615)
         assert analysis.latency_sensitivity(0.5) == pytest.approx(1.0)
@@ -98,26 +102,26 @@ class TestParametricAnalysis:
         assert analysis.latency_tolerance(2.0 / 1.5 - 1.0, baseline_L=0.0) == pytest.approx(0.885)
 
     def test_feasibility_range(self, running_example, paper_params):
-        analysis = parametric_analysis(running_example, paper_params, l_min=0.0, l_max=5.0)
+        analysis = _parametric(running_example, paper_params, l_min=0.0, l_max=5.0)
         lo, hi = analysis.feasibility_range(0.2)
         assert lo == 0.0 and hi == pytest.approx(0.385)
 
     def test_l_ratio_increases_with_latency(self, running_example, paper_params):
-        analysis = parametric_analysis(running_example, paper_params, l_min=0.0, l_max=5.0)
+        analysis = _parametric(running_example, paper_params, l_min=0.0, l_max=5.0)
         assert analysis.l_ratio(0.1) == 0.0
         assert analysis.l_ratio(1.0) > 0.0
         assert analysis.l_ratio(4.0) > analysis.l_ratio(1.0)
 
     def test_invalid_interval_rejected(self, running_example, paper_params):
         with pytest.raises(ValueError):
-            parametric_analysis(running_example, paper_params, l_min=5.0, l_max=1.0)
-        analysis = parametric_analysis(running_example, paper_params)
+            _parametric(running_example, paper_params, l_min=5.0, l_max=1.0)
+        analysis = _parametric(running_example, paper_params)
         with pytest.raises(ValueError):
             analysis.latency_tolerance(-0.1)
 
     @pytest.mark.parametrize("L", [0.0, 0.25, 0.5, 1.0, 3.0, 7.5])
     def test_matches_lp_and_forward_pass(self, running_example, paper_params, L):
-        analysis = parametric_analysis(running_example, paper_params, l_min=0.0, l_max=10.0)
+        analysis = _parametric(running_example, paper_params, l_min=0.0, l_max=10.0)
         lp = build_lp(running_example, paper_params)
         cp = analyze_critical_path(running_example, paper_params.with_latency(L))
         assert analysis.runtime(L) == pytest.approx(lp.solve_runtime(L=L).objective)
@@ -143,5 +147,5 @@ class TestParametricAnalysis:
             builder.add_comm_edge(s, r)
         graph = builder.freeze()
         params = LogGPSParams(L=1.0, o=0.1, G=0.0)
-        analysis = parametric_analysis(graph, params, l_min=0.0, l_max=100.0)
+        analysis = _parametric(graph, params, l_min=0.0, l_max=100.0)
         assert analysis.latency_sensitivity(50.0) == pytest.approx(k)

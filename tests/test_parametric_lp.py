@@ -12,7 +12,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core import build_lp, find_critical_latencies, parametric_analysis
+from repro.core import build_lp, find_critical_latencies, forward_envelope
 from repro.core.critical_latency import critical_latency_curve
 from repro.lp import LPSolution, ParametricLP, Tangent
 from repro.lp.backends import default_registry
@@ -263,9 +263,9 @@ class TestCriticalLatencyParity:
         graph = build_random_dag(seed, nranks=4, rounds=14)
         found = find_critical_latencies(build_lp(graph, PARAMS), 0.5, 25.0)
         exact = [
-            bp for bp in parametric_analysis(
+            bp for bp in forward_envelope(
                 graph, PARAMS, l_min=0.0, l_max=25.0
-            ).critical_latencies()
+            ).breakpoints()
             if 0.5 < bp < 25.0
         ]
         assert len(found) == len(exact)

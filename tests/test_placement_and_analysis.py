@@ -203,14 +203,12 @@ class TestCLI:
         assert trace_file.exists() and goal_file.exists()
 
     def test_analyze_lp_engine_fused_matches_compiled(self, capsys):
+        # the CLI's fused batches→CSR route vs the compiled frozen-graph route
         import json
 
-        assert cli_main(["--lp-engine", "fused", "analyze", "lulesh",
-                         "--nranks", "2", "--json"]) == 0
+        assert cli_main(["analyze", "lulesh", "--nranks", "2", "--json"]) == 0
         fused = json.loads(capsys.readouterr().out)
-        assert cli_main(["--lp-engine", "compiled", "analyze", "lulesh",
-                         "--nranks", "2", "--json"]) == 0
-        compiled = json.loads(capsys.readouterr().out)
+        compiled = LatencyAnalyzer(lulesh.build(2, CSCS_TESTBED), CSCS_TESTBED).summary()
         assert fused.keys() == compiled.keys()
         for key, value in compiled.items():
             assert fused[key] == pytest.approx(value), key

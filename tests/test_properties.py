@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import analyze_critical_path, build_lp, parametric_analysis
+from repro.core import LatencyAnalyzer, analyze_critical_path, build_lp
 from repro.mpi import run_program
 from repro.network.params import LogGPSParams
 from repro.schedgen import build_graph
@@ -108,7 +108,7 @@ def test_simulator_equals_forward_pass(graph, params):
 @given(graph=random_graphs(), params=random_params(),
        latency=st.floats(min_value=0.0, max_value=100.0))
 def test_parametric_equals_forward_pass(graph, params, latency):
-    analysis = parametric_analysis(graph, params, l_min=0.0, l_max=200.0)
+    analysis = LatencyAnalyzer(graph, params).parametric(l_min=0.0, l_max=200.0)
     reference = analyze_critical_path(graph, params.with_latency(latency)).runtime
     assert analysis.runtime(latency) == pytest.approx(reference, rel=1e-7, abs=1e-7)
 
@@ -120,7 +120,7 @@ def test_parametric_equals_forward_pass(graph, params, latency):
 @settings(max_examples=30, deadline=None)
 @given(graph=random_graphs(), params=random_params())
 def test_runtime_monotone_and_convex_in_latency(graph, params):
-    analysis = parametric_analysis(graph, params, l_min=0.0, l_max=200.0)
+    analysis = LatencyAnalyzer(graph, params).parametric(l_min=0.0, l_max=200.0)
     xs = [0.0, 10.0, 50.0, 100.0, 200.0]
     values = [analysis.runtime(x) for x in xs]
     for a, b in zip(values, values[1:]):
@@ -133,7 +133,7 @@ def test_runtime_monotone_and_convex_in_latency(graph, params):
 @settings(max_examples=30, deadline=None)
 @given(graph=random_graphs(), params=random_params())
 def test_lambda_bounded_by_longest_message_chain(graph, params):
-    analysis = parametric_analysis(graph, params, l_min=0.0, l_max=10_000.0)
+    analysis = LatencyAnalyzer(graph, params).parametric(l_min=0.0, l_max=10_000.0)
     assert analysis.latency_sensitivity(9_999.0) <= graph.longest_message_chain() + 1e-9
 
 
@@ -142,7 +142,7 @@ def test_lambda_bounded_by_longest_message_chain(graph, params):
        degradation=st.floats(min_value=0.001, max_value=0.5))
 def test_tolerance_inverts_runtime(graph, params, degradation):
     """T(tolerance) must not exceed the allowed bound, and the tolerance is maximal."""
-    analysis = parametric_analysis(graph, params, l_min=0.0, l_max=100_000.0)
+    analysis = LatencyAnalyzer(graph, params).parametric(l_min=0.0, l_max=100_000.0)
     base = analysis.runtime(params.L)
     tol = analysis.latency_tolerance(degradation)
     bound = (1.0 + degradation) * base

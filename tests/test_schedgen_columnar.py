@@ -1,17 +1,23 @@
-"""Parity suite: the columnar schedule-generation engine vs the legacy one.
+"""The columnar schedule generator: golden digests, validation, tag hygiene.
 
-The contract is *bit identity*: for any program or trace, the columnar
-engine must produce exactly the frozen graph the op-by-op engine produces —
-same vertex ids and attribute columns, same edge order, same labels.  The
-suite sweeps every collective algorithm, rendezvous on/off, random
-point-to-point programs and trace-driven builds, and checks LP-objective
-agreement through the compiled graph→LP engine on top.
+Bit identity of the frozen graphs — same vertex ids and attribute columns,
+same edge order, same labels — is pinned through
+``tests/data/schedgen_golden.json`` (see ``test_schedgen_golden.py``, which
+also defines the corpus): every parity case below rebuilds its program and
+compares the content digest against the golden entry recorded while an
+independent op-by-op reference builder agreed with this engine.  On top,
+the suite checks input validation, the tag-space layout, the fused
+analyze-only build and LP-objective agreement through the compiled and
+symbolic graph→LP lowerings.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.lp_builder import COMPILED_ENGINE_THRESHOLD, build_lp
+from repro.core import analyze_critical_path, build_lp
 from repro.mpi import run_program, trace_program
 from repro.mpi.program import OpKind, Program, ProgramOp
 from repro.network.params import LogGPSParams
@@ -23,47 +29,68 @@ from repro.schedgen import (
     ProtocolConfig,
     ScheduleGenerator,
     build_graph,
-    resolve_builder_engine,
 )
 from repro.schedgen.builder import UnmatchedMessageError
 from repro.schedgen.collectives import COLLECTIVE_TAG_LIMIT, next_collective_tag
+from repro.schedgen.graph import VertexKind
 from repro.testing import build_random_program
 
 PARAMS = LogGPSParams(L=1.0, o=0.5, g=0.0, G=0.001)
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "schedgen_golden.json").read_text()
+)
 
 _ARRAYS = ("kind", "rank", "cost", "size", "peer", "tag",
            "edge_src", "edge_dst", "edge_kind")
 
 
-def assert_identical(legacy, columnar):
+def assert_identical(expected, actual):
     """Bit-identity of two frozen graphs: columns, edge order, labels."""
-    assert legacy.nranks == columnar.nranks
+    assert expected.nranks == actual.nranks
     for name in _ARRAYS:
-        expected, actual = getattr(legacy, name), getattr(columnar, name)
-        assert expected.dtype == actual.dtype, name
-        assert np.array_equal(expected, actual), f"{name} differs"
-    assert legacy.labels == columnar.labels
+        a, b = getattr(expected, name), getattr(actual, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), f"{name} differs"
+    assert expected.labels == actual.labels
 
 
-def both_engines(program, **kwargs):
-    legacy = build_graph(program, builder_engine="legacy", **kwargs)
-    columnar = build_graph(program, builder_engine="columnar", **kwargs)
-    assert_identical(legacy, columnar)
-    return legacy, columnar
+def assert_golden(graph, case):
+    assert graph.content_digest() == GOLDEN[case], case
+
+
+def build_golden(program, case, **kwargs):
+    graph = build_graph(program, **kwargs)
+    assert_golden(graph, case)
+    return graph
+
+
+def build_via(route, program, protocol=None):
+    """Build through the frozen (``columnar``) or the analyze-only ``fused`` route."""
+    if route == "columnar":
+        return build_graph(program, protocol=protocol)
+    from repro.schedgen.columnar import batches_from_program, build_columnar_fused
+
+    return build_columnar_fused(
+        batches_from_program(program), program.nranks,
+        algorithms=CollectiveAlgorithms(), protocol=protocol or ProtocolConfig(),
+    )
+
+
+def _two_allreduces(comm):
+    comm.compute(1.0)
+    comm.allreduce(4096)
+    comm.compute(0.5)
+    comm.allreduce(128)
 
 
 class TestCollectiveParity:
     @pytest.mark.parametrize("nranks", [2, 3, 4, 5, 8, 16])
     @pytest.mark.parametrize("allreduce", ["recursive_doubling", "ring", "reduce_bcast"])
     def test_allreduce(self, nranks, allreduce):
-        def app(comm):
-            comm.compute(1.0)
-            comm.allreduce(4096)
-            comm.compute(0.5)
-            comm.allreduce(128)
-
-        both_engines(
-            run_program(app, nranks),
+        build_golden(
+            run_program(_two_allreduces, nranks),
+            f"two_allreduces/{allreduce}/n{nranks:02d}",
             algorithms=CollectiveAlgorithms(allreduce=allreduce),
         )
 
@@ -87,27 +114,35 @@ class TestCollectiveParity:
             comm.scatter(64, root=comm.size - 1)
             comm.barrier()
 
-        both_engines(run_program(app, nranks), algorithms=algorithms)
+        label = "default" if algorithms == CollectiveAlgorithms() else "linear_rd"
+        build_golden(
+            run_program(app, nranks), f"every_collective/{label}/n{nranks:02d}",
+            algorithms=algorithms,
+        )
 
     def test_single_rank_degenerates(self):
+        # a one-rank collective has no peer: only the two computations remain
         program = Program.empty(1)
         program.rank(0).append(ProgramOp(kind=OpKind.COMPUTE, cost=1.0))
         program.rank(0).append(ProgramOp(kind=OpKind.ALLREDUCE, size=64))
         program.rank(0).append(ProgramOp(kind=OpKind.COMPUTE, cost=2.0))
-        both_engines(program)
+        graph = build_graph(program)
+        assert graph.kind.tolist() == [int(VertexKind.CALC)] * 2
+        assert graph.cost.tolist() == [1.0, 2.0]
+        assert list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist())) == [(0, 1)]
 
     def test_collective_sequence_mismatch_detected(self):
         program = Program.empty(2)
         program.rank(0).append(ProgramOp(kind=OpKind.ALLREDUCE, size=8))
         program.rank(1).append(ProgramOp(kind=OpKind.BARRIER))
         with pytest.raises(ValueError):
-            build_graph(program, builder_engine="columnar")
+            build_graph(program)
 
     def test_collective_count_mismatch_detected(self):
         program = Program.empty(2)
         program.rank(0).append(ProgramOp(kind=OpKind.BARRIER))
         with pytest.raises(ValueError, match="collectives"):
-            build_graph(program, builder_engine="columnar")
+            build_graph(program)
 
 
 _PROTOCOLS = [
@@ -116,6 +151,13 @@ _PROTOCOLS = [
     ProtocolConfig(eager_threshold=1024, expand_rendezvous=False),
     ProtocolConfig(eager_threshold=6000),
 ]
+
+#: golden-corpus labels of ``_PROTOCOLS``, in order
+_PROTOCOL_LABELS = ["default", "rdv1024", "eager1024", "rdv6000"]
+
+
+def _protocol_label(protocol):
+    return _PROTOCOL_LABELS[_PROTOCOLS.index(protocol)]
 
 
 class TestPointToPointParity:
@@ -136,12 +178,14 @@ class TestPointToPointParity:
             comm.compute(3.0)
             comm.waitall([r, s])
 
-        both_engines(run_program(app, nranks), protocol=protocol)
+        build_golden(
+            run_program(app, nranks), f"p2p/{_protocol_label(protocol)}/n{nranks:02d}",
+            protocol=protocol,
+        )
 
     @pytest.mark.parametrize("protocol", _PROTOCOLS)
     def test_sendrecv_ring(self, protocol):
         # asymmetric sizes keep at most one rendezvous half per rank pair
-        # (the legacy blocking sendrecv expansion deadlocks otherwise)
         def app(comm):
             sizes = [7000 if r % 2 == 0 else 300 for r in range(comm.size)]
             comm.sendrecv(
@@ -150,11 +194,14 @@ class TestPointToPointParity:
                 send_tag=60, recv_tag=60,
             )
 
-        both_engines(run_program(app, 4), protocol=protocol)
+        build_golden(
+            run_program(app, 4), f"sendrecv_ring/{_protocol_label(protocol)}",
+            protocol=protocol,
+        )
 
     def test_wait_immediately_after_isend(self):
         # the wait join's frontier already is the request target: the
-        # duplicate edge must be suppressed identically in both engines
+        # duplicate edge must be suppressed
         def app(comm):
             peer = (comm.rank + 1) % comm.size
             prev = (comm.rank - 1) % comm.size
@@ -163,31 +210,28 @@ class TestPointToPointParity:
             comm.wait(s)
             comm.wait(r)
 
-        both_engines(run_program(app, 2))
+        build_golden(run_program(app, 2), "wait_immediately_after_isend")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_programs(self, seed):
         program = build_random_program(seed, nranks=4, rounds=15)
-        for protocol in (None, ProtocolConfig(eager_threshold=8192)):
-            both_engines(program, protocol=protocol)
+        for label, protocol in (("default", None), ("rdv8192", ProtocolConfig(eager_threshold=8192))):
+            build_golden(program, f"random/{label}/seed{seed}", protocol=protocol)
 
     def test_wait_on_unknown_request_raises_in_both(self):
         program = Program.empty(2)
         program.ranks[0].ops.append(ProgramOp(kind=OpKind.WAIT, request=7))
-        for engine in ("legacy", "columnar"):
-            with pytest.raises(ValueError, match="request"):
-                build_graph(program, builder_engine=engine)
+        with pytest.raises(ValueError, match="request"):
+            build_graph(program)
 
     def test_nonblocking_without_request_raises_in_both(self):
-        # request defaults to -1; both engines must reject it, regardless of
-        # the workload-size-driven auto policy
+        # request defaults to -1 and must be rejected
         program = Program.empty(2)
         program.ranks[0].ops.append(ProgramOp(kind=OpKind.ISEND, peer=1, size=8))
         program.ranks[0].ops.append(ProgramOp(kind=OpKind.WAITALL, requests=(-1,)))
         program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
-        for engine in ("legacy", "columnar"):
-            with pytest.raises(ValueError, match="without request"):
-                build_graph(program, builder_engine=engine)
+        with pytest.raises(ValueError, match="without request"):
+            build_graph(program)
 
     def test_request_reuse_raises_in_both(self):
         program = Program.empty(2)
@@ -196,24 +240,21 @@ class TestPointToPointParity:
         program.ranks[0].ops.append(ProgramOp(kind=OpKind.WAITALL, requests=(1,)))
         program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
         program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
-        for engine in ("legacy", "columnar"):
-            with pytest.raises(ValueError, match="reused"):
-                build_graph(program, builder_engine=engine)
+        with pytest.raises(ValueError, match="reused"):
+            build_graph(program)
 
     def test_never_completed_request_raises_in_both(self):
         program = Program.empty(2)
         program.ranks[0].ops.append(ProgramOp(kind=OpKind.ISEND, peer=1, size=8, request=1))
         program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
-        for engine in ("legacy", "columnar"):
-            with pytest.raises(ValueError, match="never completed"):
-                build_graph(program, builder_engine=engine)
+        with pytest.raises(ValueError, match="never completed"):
+            build_graph(program)
 
     def test_unmatched_messages_raise_in_both(self):
         program = Program.empty(2)
         program.rank(0).append(ProgramOp(kind=OpKind.SEND, peer=1, size=8, tag=0))
-        for engine in ("legacy", "columnar"):
-            with pytest.raises(UnmatchedMessageError):
-                build_graph(program, builder_engine=engine)
+        with pytest.raises(UnmatchedMessageError):
+            build_graph(program)
 
 
 class TestTraceParity:
@@ -240,24 +281,12 @@ class TestTraceParity:
         "protocol", [None, ProtocolConfig(eager_threshold=1024)]
     )
     def test_trace_builds_bit_identical(self, nranks, protocol):
-        trace = self._trace(nranks)
-        legacy = ScheduleGenerator(
-            protocol=protocol, builder_engine="legacy"
-        ).build_from_trace(trace)
-        columnar = ScheduleGenerator(
-            protocol=protocol, builder_engine="columnar"
-        ).build_from_trace(trace)
-        assert_identical(legacy, columnar)
+        graph = ScheduleGenerator(protocol=protocol).build_from_trace(self._trace(nranks))
+        assert_golden(graph, f"trace/{_protocol_label(protocol)}/n{nranks:02d}")
 
     def test_min_compute_filter_matches(self):
-        trace = self._trace(4)
-        legacy = ScheduleGenerator(builder_engine="legacy").build_from_trace(
-            trace, min_compute=1.0
-        )
-        columnar = ScheduleGenerator(builder_engine="columnar").build_from_trace(
-            trace, min_compute=1.0
-        )
-        assert_identical(legacy, columnar)
+        graph = ScheduleGenerator().build_from_trace(self._trace(4), min_compute=1.0)
+        assert_golden(graph, "trace/default/n04/min_compute1")
 
 
 class TestLPObjectiveAgreement:
@@ -267,43 +296,31 @@ class TestLPObjectiveAgreement:
                 comm.compute(1.0)
                 comm.allreduce(2048)
 
-        program = run_program(app, 8)
-        legacy, columnar = both_engines(program)
-        obj = {}
-        for name, graph in (("legacy", legacy), ("columnar", columnar)):
-            lp = build_lp(graph, PARAMS, engine="compiled")
-            obj[name] = lp.solve_runtime(backend="highs").objective
-        assert obj["legacy"] == pytest.approx(obj["columnar"], abs=1e-9)
+        graph = build_graph(run_program(app, 8))
+        lp = build_lp(graph, PARAMS, engine="compiled")
+        objective = lp.solve_runtime(backend="highs").objective
+        assert objective == pytest.approx(analyze_critical_path(graph, PARAMS).runtime, abs=1e-9)
 
     def test_random_program_compiled_vs_symbolic(self):
-        program = build_random_program(3, nranks=3, rounds=10)
-        _, columnar = both_engines(program)
-        compiled = build_lp(columnar, PARAMS, engine="compiled")
-        symbolic = build_lp(columnar, PARAMS, engine="symbolic")
+        graph = build_graph(build_random_program(3, nranks=3, rounds=10))
+        compiled = build_lp(graph, PARAMS, engine="compiled")
+        symbolic = build_lp(graph, PARAMS, engine="symbolic")
         assert compiled.solve_runtime(backend="highs").objective == pytest.approx(
             symbolic.solve_runtime(backend="highs").objective, abs=1e-9
         )
 
 
 class TestEnginePolicy:
-    def test_auto_threshold_mirrors_lp_engine(self):
-        assert resolve_builder_engine("auto", COMPILED_ENGINE_THRESHOLD - 1) == "legacy"
-        assert resolve_builder_engine("auto", COMPILED_ENGINE_THRESHOLD) == "columnar"
-        assert resolve_builder_engine("legacy", 10**9) == "legacy"
-        assert resolve_builder_engine("columnar", 0) == "columnar"
+    def test_resolver_reports_the_only_engine(self):
+        # the per-layer benchmark trace wraps this name by module path
+        from repro.schedgen.builder import resolve_builder_engine
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="builder engine"):
-            resolve_builder_engine("magic", 10)
-        with pytest.raises(ValueError, match="builder engine"):
-            ScheduleGenerator(builder_engine="magic")
-        program = Program.empty(2)
-        program.rank(0).append(ProgramOp(kind=OpKind.BARRIER))
-        program.rank(1).append(ProgramOp(kind=OpKind.BARRIER))
-        with pytest.raises(ValueError, match="builder engine"):
-            build_graph(program, builder_engine="magic")
+        for size in (0, 63, 64, 10**9):
+            assert resolve_builder_engine("auto", size) == "columnar"
 
     def test_auto_default_is_bit_identical_across_threshold(self):
+        # schedules far below and above the size where an op-by-op path
+        # used to take over build the recorded graphs
         def small(comm):
             comm.barrier()
 
@@ -312,24 +329,21 @@ class TestEnginePolicy:
                 comm.compute(1.0)
                 comm.allreduce(64)
 
-        for app, nranks in ((small, 2), (large, 4)):
-            program = run_program(app, nranks)
-            auto = build_graph(program)
-            legacy, _ = both_engines(program)
-            assert_identical(legacy, auto)
+        build_golden(run_program(small, 2), "barrier/n02")
+        build_golden(run_program(large, 4), "forty_allreduces/n04")
 
 
 class TestTagHygiene:
-    @pytest.mark.parametrize("engine", ["legacy", "columnar"])
+    @pytest.mark.parametrize("engine", ["columnar", "fused"])
     @pytest.mark.parametrize("bad_tag", [-1, USER_TAG_LIMIT, USER_TAG_LIMIT + 5])
     def test_out_of_range_user_tag_rejected(self, engine, bad_tag):
         program = Program.empty(2)
         program.rank(0).append(ProgramOp(kind=OpKind.SEND, peer=1, size=8, tag=bad_tag))
         program.rank(1).append(ProgramOp(kind=OpKind.RECV, peer=0, size=8, tag=bad_tag))
         with pytest.raises(ValueError, match="user tag"):
-            build_graph(program, builder_engine=engine)
+            build_via(engine, program)
 
-    @pytest.mark.parametrize("engine", ["legacy", "columnar"])
+    @pytest.mark.parametrize("engine", ["columnar", "fused"])
     def test_sendrecv_recv_tag_checked(self, engine):
         program = Program.empty(2)
         for rank in range(2):
@@ -338,9 +352,9 @@ class TestTagHygiene:
                 recv_peer=1 - rank, recv_size=8, recv_tag=USER_TAG_LIMIT,
             ))
         with pytest.raises(ValueError, match="user tag"):
-            build_graph(program, builder_engine=engine)
+            build_via(engine, program)
 
-    @pytest.mark.parametrize("engine", ["legacy", "columnar"])
+    @pytest.mark.parametrize("engine", ["columnar", "fused"])
     def test_largest_user_tag_cannot_collide(self, engine):
         """The largest legal user tag keeps all synthetic tags in their regions."""
         tag = USER_TAG_LIMIT - 1
@@ -352,11 +366,10 @@ class TestTagHygiene:
                 comm.recv(0, 1_000_000, tag=tag)
             comm.allreduce(64)
 
-        graph = build_graph(
-            run_program(app, 2),
-            protocol=ProtocolConfig(eager_threshold=1024),
-            builder_engine=engine,
+        graph = build_via(
+            engine, run_program(app, 2), protocol=ProtocolConfig(eager_threshold=1024)
         )
+        assert_golden(graph, "largest_user_tag/rdv1024")
         tags = np.asarray(graph.tag)
         user = tags[tags < USER_TAG_LIMIT]
         collective = tags[(tags >= COLLECTIVE_TAG_BASE) & (tags < COLLECTIVE_TAG_LIMIT)]

@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.validation import noise_seed, run_validation_sweep
 from repro.network.params import LogGPSParams
 from repro.simulator.columnar import _LEVEL_PLAN_CACHE_SIZE, get_level_plan
+from repro.simulator import LogGOPSSimulator, make_injector
 from repro.simulator.noise import GaussianNoise
 from repro.testing import build_random_dag
 
@@ -83,7 +84,6 @@ class TestLevelPlanCache:
             PARAMS,
             delta_Ls=deltas,
             repetitions=repetitions,
-            sim_engine="level",
         )
         # injector deltas are folded in on copies, so every (delta, rep)
         # simulation shares the single (graph, params) plan
@@ -95,15 +95,28 @@ class TestLevelPlanCache:
 class TestSweepReproducibility:
     def test_identical_runs_bitwise_equal(self):
         graph = build_random_dag(29)
-        kwargs = dict(delta_Ls=[0.0, 4.0, 8.0], repetitions=2, sim_engine="level")
+        kwargs = dict(delta_Ls=[0.0, 4.0, 8.0], repetitions=2)
         a = run_validation_sweep(graph, PARAMS, **kwargs)
         b = run_validation_sweep(graph, PARAMS, **kwargs)
         assert np.array_equal(a.measured, b.measured)
         assert np.array_equal(a.predicted, b.predicted)
 
     def test_level_and_legacy_measurements_agree(self):
+        # the sweep's level-engine measurements vs the per-vertex reference
+        # walk under the same injector and noise seeds
         graph = build_random_dag(31)
-        kwargs = dict(delta_Ls=[0.0, 6.0], repetitions=2)
-        level = run_validation_sweep(graph, PARAMS, sim_engine="level", **kwargs)
-        legacy = run_validation_sweep(graph, PARAMS, sim_engine="legacy", **kwargs)
-        assert level.measured == pytest.approx(legacy.measured, rel=1e-12, abs=1e-9)
+        deltas, repetitions = [0.0, 6.0], 2
+        level = run_validation_sweep(
+            graph, PARAMS, delta_Ls=deltas, repetitions=repetitions
+        )
+        reference = [
+            np.mean([
+                LogGOPSSimulator(
+                    graph, PARAMS, injector=make_injector("delay_thread", delta),
+                    noise=GaussianNoise(sigma=0.002, seed=noise_seed(rep, i)),
+                ).run().makespan
+                for rep in range(repetitions)
+            ])
+            for i, delta in enumerate(deltas)
+        ]
+        assert level.measured == pytest.approx(reference, rel=1e-12, abs=1e-9)
