@@ -38,8 +38,8 @@ SPEEDUP_FLOOR = 10.0
 def _compare(graph, params, l_min: float, l_max: float):
     t0 = time.perf_counter()
     lp = build_lp(graph, params, latency_mode="global")
-    sweep = BatchedSweep(lp, l_min=l_min, l_max=l_max, envelope_engine="lp")
-    lp_env = sweep.envelope
+    sweep = BatchedSweep(lp, l_min=l_min, l_max=l_max)
+    lp_env = sweep.lp_envelope()
     lp_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()

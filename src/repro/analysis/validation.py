@@ -4,9 +4,10 @@ On the real cluster the paper injects latency with its delay-thread injector,
 measures the application runtime, and compares against LLAMP's prediction.
 In this reproduction the *measurement* is the LogGOPS discrete-event
 simulator (optionally with noise and a non-ideal injector) and the
-*prediction* is the LP pipeline — two independent code paths over the same
-execution graph, so agreement is meaningful and the RRMSE statistics of the
-paper can be recomputed.
+*prediction* is the exact ``T(L)`` envelope of the LP — the analyzer's
+:func:`~repro.core.envelope.forward_envelope` — two independent code paths
+over the same execution graph, so agreement is meaningful and the RRMSE
+statistics of the paper can be recomputed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.analyzer import LatencyAnalyzer, ToleranceReport
+from ..core.envelope import check_nonnegative
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 from ..simulator.injector import make_injector
@@ -107,9 +109,9 @@ def run_validation_sweep(
     noise: NoiseModel | None = None,
     noise_sigma: float = 0.002,
     repetitions: int = 1,
-    backend: str = "highs",
 ) -> ValidationSweep:
-    """Sweep ΔL, measuring with the simulator and predicting with the LP.
+    """Sweep ΔL, measuring with the simulator and predicting from the
+    envelope (no LP is built or solved).
 
     ``repetitions`` simulated runs per ΔL are averaged (the paper averages
     10 real runs); by default a small Gaussian compute noise makes the
@@ -119,10 +121,9 @@ def run_validation_sweep(
         sorted(set(float(d) for d in (delta_Ls if delta_Ls is not None else np.linspace(0, 100, 11)))),
         dtype=np.float64,
     )
-    if np.any(deltas < 0):
-        raise ValueError("delta_L values must be non-negative")
+    check_nonnegative(deltas, "delta_Ls", "run_validation_sweep")
 
-    analyzer = LatencyAnalyzer(graph, params, backend=backend)
+    analyzer = LatencyAnalyzer(graph, params)
     curve = analyzer.sensitivity_curve(deltas)
     tolerance = analyzer.tolerance_report()
 

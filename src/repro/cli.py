@@ -3,13 +3,14 @@
 Small front end over the library for the most common workflows:
 
 ``llamp analyze``
-    build an application skeleton, run the LP analysis and print runtime,
-    ``λ_L``, ``ρ_L`` and the 1/2/5 % latency tolerances;
+    build an application skeleton, compute its exact ``T(L)`` envelope and
+    print runtime, ``λ_L``, ``ρ_L`` and the 1/2/5 % latency tolerances read
+    off it (one graph traversal, no LP solve);
 ``llamp sweep``
-    measured-vs-predicted ΔL sweep (simulator vs LP) with RRMSE;
+    measured-vs-predicted ΔL sweep (simulator vs envelope) with RRMSE;
 ``llamp curve``
-    exact ``T(L)`` / ``λ_L(L)`` curve and critical latencies via the batched
-    sweep engine (O(#breakpoints) LP solves, one assembled matrix);
+    exact ``T(L)`` / ``λ_L(L)`` curve and critical latencies from the same
+    envelope;
 ``llamp place``
     sensitivity-guided rank placement (Algorithm 3): refine a process
     mapping with the incremental per-pair LP engine and compare it against
@@ -29,7 +30,7 @@ Small front end over the library for the most common workflows:
     merged summary;
 ``llamp ingest``
     stream an on-disk trace or GOAL file through the chunked out-of-core
-    readers (:mod:`repro.schedgen.streaming`) and run the LP analysis —
+    readers (:mod:`repro.schedgen.streaming`) and run the latency analysis —
     peak memory stays O(chunk + columns) instead of O(file), with the
     columns optionally spilled to disk-backed buffers (``--mmap-dir``).
 """
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -72,8 +74,8 @@ def _app_graph(args: argparse.Namespace, params: LogGPSParams):
 def _app_schedule(args: argparse.Namespace, params: LogGPSParams):
     """The app as a :class:`~repro.schedgen.columnar.ScheduleBatches` spec.
 
-    Used by the analyze-only commands: the LP is lowered batches → CSR
-    directly and no frozen graph is ever built (digest-compatible with
+    Used by the analyze-only commands: the envelope traverses the zero-copy
+    fused graph and no frozen graph is ever built (digest-compatible with
     :func:`_app_graph`'s output).
     """
     from .schedgen.builder import ProtocolConfig
@@ -89,48 +91,72 @@ def _app_schedule(args: argparse.Namespace, params: LogGPSParams):
     )
 
 
+def _positive_int(text: str) -> int:
+    """``type=`` of count options: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    """``type=`` of latency/cost options: a finite float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite, non-negative number, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="llamp",
         description="LLAMP reproduction: network latency sensitivity/tolerance analysis",
     )
-    parser.add_argument("--latency", type=float, default=CSCS_TESTBED.L,
+    parser.add_argument("--latency", type=_nonnegative_float, default=CSCS_TESTBED.L,
                         help="base network latency L in µs (default: %(default)s)")
-    parser.add_argument("--overhead", type=float, default=CSCS_TESTBED.o,
+    parser.add_argument("--overhead", type=_nonnegative_float, default=CSCS_TESTBED.o,
                         help="per-message CPU overhead o in µs (default: %(default)s)")
-    parser.add_argument("--gap", type=float, default=CSCS_TESTBED.G,
+    parser.add_argument("--gap", type=_nonnegative_float, default=CSCS_TESTBED.G,
                         help="per-byte gap G in µs/byte (default: %(default)s)")
-    parser.add_argument("--envelope-engine", default="auto",
-                        choices=("auto", "forward", "lp"),
-                        help="T(L) envelope engine: the single-traversal "
-                             "forward line propagation (no LP solves) or the "
-                             "LP tangent search (default: %(default)s — "
-                             "forward whenever the affinity contract holds, "
-                             "LP otherwise; both produce the identical curve)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_app_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("app", choices=sorted(ALL_APPS), help="application skeleton")
-        p.add_argument("--nranks", type=int, default=8, help="number of MPI ranks")
+        p.add_argument("--nranks", type=_positive_int, default=8,
+                       help="number of MPI ranks")
         p.add_argument("--allreduce", default="recursive_doubling",
                        choices=("recursive_doubling", "ring", "reduce_bcast"),
                        help="allreduce algorithm used by Schedgen")
 
-    analyze = sub.add_parser("analyze", help="runtime, λ_L, ρ_L and latency tolerances")
+    analyze = sub.add_parser(
+        "analyze", help="runtime, λ_L, ρ_L and latency tolerances from the exact T(L)"
+    )
     add_app_args(analyze)
     analyze.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     sweep = sub.add_parser("sweep", help="measured-vs-predicted ΔL sweep")
     add_app_args(sweep)
-    sweep.add_argument("--max-delta", type=float, default=100.0, help="largest ΔL in µs")
-    sweep.add_argument("--points", type=int, default=6, help="number of sweep points")
+    sweep.add_argument("--max-delta", type=_nonnegative_float, default=100.0,
+                       help="largest ΔL in µs")
+    sweep.add_argument("--points", type=_positive_int, default=6,
+                       help="number of sweep points")
 
-    curve = sub.add_parser("curve", help="exact T(L)/λ_L(L) curve via the batched sweep engine")
+    curve = sub.add_parser(
+        "curve", help="exact T(L)/λ_L(L) curve and critical latencies (no LP solve)"
+    )
     add_app_args(curve)
-    curve.add_argument("--l-max", type=float, default=1000.0, help="largest latency L in µs")
-    curve.add_argument("--points", type=int, default=11, help="number of printed curve points")
-    curve.add_argument("--backend", default="auto",
-                       help="LP backend name from the registry (default: %(default)s)")
+    curve.add_argument("--l-max", type=_nonnegative_float, default=1000.0,
+                       help="largest latency L in µs")
+    curve.add_argument("--points", type=_positive_int, default=11,
+                       help="number of printed curve points")
     curve.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     place = sub.add_parser("place", help="sensitivity-guided rank placement (Algorithm 3)")
@@ -178,11 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="artifact store directory")
     cache.add_argument("--kind", choices=("graph", "lp", "envelope"), default=None,
                        help="restrict 'clear' to one artifact kind")
-    cache.add_argument("--nranks", type=int, default=8, help="number of MPI ranks")
+    cache.add_argument("--nranks", type=_positive_int, default=8, help="number of MPI ranks")
     cache.add_argument("--allreduce", default="recursive_doubling",
                        choices=("recursive_doubling", "ring", "reduce_bcast"),
                        help="allreduce algorithm used by Schedgen")
-    cache.add_argument("--l-max", type=float, default=1000.0,
+    cache.add_argument("--l-max", type=_nonnegative_float, default=1000.0,
                        help="largest latency L in µs for the warmed envelope")
     cache.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
@@ -200,19 +226,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument("apps", nargs="+", choices=sorted(ALL_APPS),
                        help="application skeletons in the fleet")
-    fleet.add_argument("--nranks", type=int, nargs="+", default=[8],
+    fleet.add_argument("--nranks", type=_positive_int, nargs="+", default=[8],
                        help="rank counts (grid axis; default: %(default)s)")
     fleet.add_argument("--allreduce", nargs="+", default=["recursive_doubling"],
                        choices=("recursive_doubling", "ring", "reduce_bcast"),
                        help="allreduce algorithms (grid axis)")
-    fleet.add_argument("--latencies", type=float, nargs="+", default=None,
+    fleet.add_argument("--latencies", type=_nonnegative_float, nargs="+", default=None,
                        help="base latencies L in µs (grid axis; default: --latency)")
     fleet.add_argument("--injectors", nargs="+", default=["none"],
                        choices=("none",) + INJECTOR_NAMES,
                        help="latency injectors (grid axis; 'none' = LP-only)")
-    fleet.add_argument("--sim-deltas", type=float, nargs="+", default=[0.0, 10.0],
+    fleet.add_argument("--sim-deltas", type=_nonnegative_float, nargs="+",
+                       default=[0.0, 10.0],
                        help="ΔL points simulated for injector scenarios (µs)")
-    fleet.add_argument("--l-max", type=float, default=1000.0,
+    fleet.add_argument("--l-max", type=_nonnegative_float, default=1000.0,
                        help="largest latency L in µs for the envelopes")
     fleet.add_argument("--processes", type=int, default=None,
                        help="worker processes (default: cpu count; 1 = inline)")
@@ -220,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared artifact store directory for the workers")
     fleet.add_argument("--output-dir", default=None,
                        help="directory for FLEET_*.json shards and the summary")
-    fleet.add_argument("--backend", default="auto",
-                       help="LP backend name from the registry (default: %(default)s)")
     fleet.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     ingest = sub.add_parser(
@@ -231,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "chunked streaming readers — fixed-size record blocks "
                     "straight into columnar batches (traces) or the graph "
                     "builder (GOAL), bit-identical to the monolithic "
-                    "loaders — and run the LP latency analysis. With a "
+                    "loaders — and run the latency analysis. With a "
                     "--mmap-dir the accumulated columns are disk-backed, "
                     "so peak memory is bounded by the chunk size plus the "
-                    "LP working set, not the input size.",
+                    "envelope working set, not the input size.",
     )
     ingest.add_argument("format", choices=("trace", "goal"),
                         help="input file format")
@@ -258,11 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    # analyze-only command: the fused batches→CSR path (a frozen graph would
-    # be built only to be re-lowered and thrown away)
-    analyzer = LatencyAnalyzer(
-        _app_schedule(args, params), params, envelope_engine=args.envelope_engine
-    )
+    # analyze-only command: the fused zero-copy graph (a frozen graph would
+    # be built only to be traversed once and thrown away)
+    analyzer = LatencyAnalyzer(_app_schedule(args, params), params)
     summary = analyzer.summary()
     if args.json:
         print(json.dumps(summary, indent=2))
@@ -296,21 +319,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .lp.backends import default_registry
-
-    try:
-        default_registry.get(args.backend)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
     params = _params_from_args(args)
     if args.l_max <= params.L:
         raise SystemExit(
             f"--l-max ({args.l_max} µs) must exceed the base latency ({params.L} µs)"
         )
-    analyzer = LatencyAnalyzer(
-        _app_schedule(args, params), params, backend=args.backend,
-        envelope_engine=args.envelope_engine,
-    )
+    analyzer = LatencyAnalyzer(_app_schedule(args, params), params)
     graph = analyzer.graph
     sweep = analyzer.batched_sweep(l_max=args.l_max)
     Ls = np.linspace(params.L, args.l_max, args.points)
@@ -471,9 +485,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         )
     graph = _app_graph(args, params)
     store.get_or_build_graph(graph.content_digest(), lambda: graph)
-    analyzer = LatencyAnalyzer(
-        graph, params, envelope_engine=args.envelope_engine, cache_dir=args.cache_dir
-    )
+    analyzer = LatencyAnalyzer(graph, params, cache_dir=args.cache_dir)
     sweep = analyzer.batched_sweep(l_max=args.l_max)
     lp_key = combine_digests("lp", graph.content_digest(), params.content_digest())
     if not store.contains("lp", lp_key):
@@ -521,8 +533,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         injectors=injectors,
         l_max=args.l_max,
         sim_deltas=args.sim_deltas,
-        backend=args.backend,
-        envelope_engine=args.envelope_engine,
         processes=args.processes,
         cache_dir=args.cache_dir,
     )

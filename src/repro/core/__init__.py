@@ -2,12 +2,7 @@
 
 from .analyzer import LatencyAnalyzer, SensitivityCurve, ToleranceReport
 from .critical_latency import Tangent, critical_latency_curve, find_critical_latencies
-from .envelope import (
-    ENVELOPE_ENGINES,
-    forward_envelope,
-    forward_incompatibility,
-    resolve_envelope_engine,
-)
+from .envelope import forward_envelope, forward_incompatibility, resolve_envelope_engine
 from .graph_analysis import CriticalPathResult, analyze_critical_path, forward_pass
 from .lp_builder import GraphLP, build_lp
 from .parametric import (
@@ -37,7 +32,6 @@ __all__ = [
     "find_critical_latencies",
     "critical_latency_curve",
     "Tangent",
-    "ENVELOPE_ENGINES",
     "forward_envelope",
     "forward_incompatibility",
     "resolve_envelope_engine",

@@ -1,16 +1,24 @@
 """The LLAMP analyzer: the high-level public API of this package.
 
 :class:`LatencyAnalyzer` wraps an execution graph and a LogGPS configuration
-and exposes every metric the paper derives from the generated LP:
+and exposes every metric the paper derives from the generated LP.  The
+latency metrics are all readings of one convex piecewise-linear function,
+``T(L) = max_i(a_i·L + C_i)`` (Eq. 3): the analyzer computes that envelope
+once on ``[L₀, ∞)`` with :func:`~repro.core.envelope.forward_envelope` — one
+graph traversal, no LP — and answers from it:
 
-* predicted runtime ``T`` for any added latency ΔL (Section II-C);
-* network latency sensitivity ``λ_L`` (reduced cost of ``l``, Section II-D1);
-* the L ratio ``ρ_L`` (fraction of the critical path spent in latency);
+* predicted runtime ``T`` for any added latency ΔL (Section II-C) — its value;
+* network latency sensitivity ``λ_L`` (Section II-D1) — its slope, equal to
+  the reduced cost of ``l`` in the LP;
+* the L ratio ``ρ_L = L·λ_L/T`` (fraction of the critical path spent in
+  latency);
 * network latency tolerance — the largest ``L`` that keeps the runtime within
-  x % of the baseline (Section II-D2, directly via ``max l`` LPs);
-* all critical latencies in an interval (Algorithm 2);
-* bandwidth sensitivity ``λ_G`` (Section II-B1);
+  x % of the baseline (Section II-D2; the answer of the paper's ``max l`` LP);
+* all critical latencies in an interval (Algorithm 2) — its breakpoints;
 * full sensitivity curves over a ΔL sweep (the lower panels of Fig. 9/10).
+
+Only bandwidth sensitivity ``λ_G`` (Section II-B1) solves the LP, which is
+built on first use of :attr:`LatencyAnalyzer.lp`.
 
 Typical use::
 
@@ -28,17 +36,18 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
-from .critical_latency import critical_latency_curve, find_critical_latencies
+from .critical_latency import Tangent, _collect_breakpoints, _segment_tangents
+from .envelope import check_nonnegative, validate_interval
 from .graph_analysis import CriticalPathResult, analyze_critical_path
 from .lp_builder import GraphLP, build_lp
-from .parametric import BatchedSweep, ParametricAnalysis
+from .parametric import BatchedSweep, ParametricAnalysis, PiecewiseLinear
 
 __all__ = ["SensitivityCurve", "ToleranceReport", "LatencyAnalyzer"]
 
@@ -86,7 +95,12 @@ class ToleranceReport:
 
 
 class LatencyAnalyzer:
-    """Analyse the network-latency behaviour of one execution graph."""
+    """Analyse the network-latency behaviour of one execution graph.
+
+    ``backend`` names the registry solver for the one metric that solves an
+    LP, :meth:`bandwidth_sensitivity`; every latency metric is read from the
+    forward envelope and never reaches a solver.
+    """
 
     #: degradation levels highlighted throughout the paper (Fig. 1 / Fig. 9)
     DEFAULT_DEGRADATIONS = (0.01, 0.02, 0.05)
@@ -98,13 +112,9 @@ class LatencyAnalyzer:
         *,
         backend: str = "highs",
         gap_symbolic: bool = False,
-        envelope_engine: str = "auto",
         cache_dir: str | os.PathLike | None = None,
     ) -> None:
         from ..schedgen.columnar import ScheduleBatches
-        from .envelope import _check_engine_name
-
-        _check_engine_name(envelope_engine)
 
         if isinstance(graph, ScheduleBatches):
             # fused analyze-only path: keep the batch spec; the execution
@@ -118,9 +128,8 @@ class LatencyAnalyzer:
         self.params = params
         self.backend = backend
         self._gap_mode = "global" if gap_symbolic else "constant"
-        self.envelope_engine = envelope_engine
         self._lp: GraphLP | None = None
-        self._baseline_runtime: float | None = None
+        self._envelopes: dict[tuple[float, float], PiecewiseLinear] = {}
         self._store = None
         if cache_dir is not None:
             from ..artifacts import ArtifactStore
@@ -134,9 +143,9 @@ class LatencyAnalyzer:
 
         The program is columnarised once
         (:func:`~repro.schedgen.columnar.batches_from_program`) and held as a
-        :class:`~repro.schedgen.columnar.ScheduleBatches` spec; the LP is
-        lowered batches → CSR directly, and a (zero-copy, analyze-only)
-        execution graph only exists if something graph-shaped is requested.
+        :class:`~repro.schedgen.columnar.ScheduleBatches` spec; the envelope
+        (and an LP, if one is asked for) works on the zero-copy, never-frozen
+        execution graph built from it.
         """
         from ..schedgen.columnar import ScheduleBatches
 
@@ -189,7 +198,9 @@ class LatencyAnalyzer:
 
     @property
     def lp(self) -> GraphLP:
-        """The generated LP (built on first use, then cached and re-solved)."""
+        """The generated LP (built on first use, then cached and re-solved).
+
+        No metric but :meth:`bandwidth_sensitivity` touches it."""
         if self._lp is None:
             source = self._schedule if self._schedule is not None else self.graph
             self._lp = build_lp(
@@ -234,52 +245,61 @@ class LatencyAnalyzer:
             self.graph, self.params, delta_Ls, injector=injector, noise=noise
         )
 
-    def parametric(self, l_min: float = 0.0, l_max: float = 10_000.0) -> ParametricAnalysis:
-        """The exact piecewise-linear ``T(L)`` curve on ``[l_min, l_max]``
-        (one :func:`~repro.core.envelope.forward_envelope` traversal)."""
-        from .envelope import forward_envelope
+    def _envelope(self, l_min: float, l_max: float) -> PiecewiseLinear:
+        """The exact ``T(L)`` envelope on ``[l_min, l_max]``, built once per
+        interval by :func:`~repro.core.envelope.forward_envelope`.
 
-        envelope = forward_envelope(self.graph, self.params, l_min=l_min, l_max=l_max)
-        return ParametricAnalysis(envelope=envelope, params=self.params, graph=self.graph)
-
-    def batched_sweep(
-        self, l_min: float | None = None, l_max: float = 10_000.0, **kwargs
-    ) -> BatchedSweep:
-        """A :class:`BatchedSweep` over the cached LP (assembled once).
-
-        ``l_min`` defaults to the baseline latency.  The sweep reconstructs
-        the exact ``T(L)`` curve from ``O(#breakpoints)`` LP solves instead
-        of one cold solve per sweep point.
-
-        With ``cache_dir=`` set on the analyzer, the envelope is served from
-        the content-addressed :class:`~repro.artifacts.ArtifactStore`: on a
-        hit the returned sweep wraps the stored curve and never builds,
-        assembles or solves the LP at all (zero new CSR assemblies); on a
-        miss the envelope is built once and persisted for the next caller.
-        Store keys are engine-free and shared with
+        With ``cache_dir=`` set, envelopes go through the content-addressed
+        :class:`~repro.artifacts.ArtifactStore` under the key shared with
         :func:`~repro.core.parametric.batched_sweep_graphs` and the sweep
         pool (:func:`~repro.artifacts.envelope_key`): an envelope warmed by
-        any of them is a hit for the others.
+        any of them is a hit here, and a miss is persisted for them.
+        """
+        validate_interval(l_min, l_max)
+        interval = (float(l_min), float(l_max))
+        envelope = self._envelopes.get(interval)
+        if envelope is not None:
+            return envelope
+
+        def build() -> PiecewiseLinear:
+            from .envelope import forward_envelope
+
+            return forward_envelope(self.graph, self.params, l_min=l_min, l_max=l_max)
+
+        if self._store is None:
+            envelope = build()
+        else:
+            from ..artifacts import envelope_key
+
+            key = envelope_key(
+                self.graph, self.params, l_min=l_min, l_max=l_max,
+                gap_mode=self._gap_mode,
+            )
+            envelope = self._store.get_or_build_envelope(key, build)
+        self._envelopes[interval] = envelope
+        return envelope
+
+    def parametric(self, l_min: float = 0.0, l_max: float = 10_000.0) -> ParametricAnalysis:
+        """The exact piecewise-linear ``T(L)`` curve on ``[l_min, l_max]``."""
+        return ParametricAnalysis(
+            envelope=self._envelope(l_min, l_max), params=self.params, graph=self.graph
+        )
+
+    def _curve(self) -> ParametricAnalysis:
+        """``T(L)`` on ``[L₀, ∞)``: the one curve every metric reads."""
+        return self.parametric(self.params.L, math.inf)
+
+    def batched_sweep(
+        self, l_min: float | None = None, l_max: float = 10_000.0
+    ) -> BatchedSweep:
+        """A :class:`BatchedSweep` wrapping the envelope on
+        ``[l_min, l_max]`` (``l_min`` defaults to the baseline latency).
+
+        The sweep answers any number of points from the exact curve; it
+        never builds, assembles or solves an LP (``num_solves == 0``).
         """
         lo = self.params.L if l_min is None else l_min
-        kwargs.setdefault("backend", self.backend)
-        kwargs.setdefault("envelope_engine", self.envelope_engine)
-        if self._store is None:
-            return BatchedSweep(self.lp, l_min=lo, l_max=l_max, **kwargs)
-        from ..artifacts import envelope_key
-
-        config = {"gap_mode": self._gap_mode}
-        if "max_pieces" in kwargs:
-            config["max_pieces"] = kwargs["max_pieces"]
-        key = envelope_key(self.graph, self.params, l_min=lo, l_max=l_max, **config)
-        cached = self._store.get("envelope", key)
-        if cached is not None:
-            self._store.hits["envelope"] += 1
-            return BatchedSweep.from_envelope(cached)
-        sweep = BatchedSweep(self.lp, l_min=lo, l_max=l_max, **kwargs)
-        self._store.misses["envelope"] += 1
-        self._store.put("envelope", key, sweep.envelope)
-        return sweep
+        return BatchedSweep.from_envelope(self._envelope(lo, l_max))
 
     @classmethod
     def sweep_many(
@@ -293,7 +313,6 @@ class LatencyAnalyzer:
         max_pieces: int = 50_000,
         processes: int | None = None,
         cache_dir: str | os.PathLike | None = None,
-        envelope_engine: str = "auto",
         **build_kwargs,
     ) -> list[BatchedSweep]:
         """One :class:`BatchedSweep` per graph, via the shared-memory pool.
@@ -317,7 +336,6 @@ class LatencyAnalyzer:
             max_pieces=max_pieces,
             processes=processes,
             cache_dir=cache_dir,
-            envelope_engine=envelope_engine,
             **build_kwargs,
         )
         return [BatchedSweep.from_envelope(envelope) for envelope in envelopes]
@@ -326,37 +344,34 @@ class LatencyAnalyzer:
 
     def predict_runtime(self, delta_L: float = 0.0) -> float:
         """Predicted runtime (µs) with ``delta_L`` µs of added network latency."""
-        if delta_L < 0:
-            raise ValueError(f"delta_L must be non-negative, got {delta_L}")
-        solution = self.lp.solve_runtime(L=self.params.L + delta_L, backend=self.backend)
-        return solution.objective
+        check_nonnegative(delta_L, "delta_L", "predict_runtime")
+        return self._curve().runtime(self.params.L + delta_L)
 
     def baseline_runtime(self) -> float:
-        """Predicted runtime at the baseline latency (cached)."""
-        if self._baseline_runtime is None:
-            self._baseline_runtime = self.predict_runtime(0.0)
-        return self._baseline_runtime
+        """Predicted runtime at the baseline latency."""
+        return self.predict_runtime(0.0)
 
     def latency_sensitivity(self, delta_L: float = 0.0) -> float:
-        """``λ_L = ∂T/∂L`` at the given added latency (messages on the critical path)."""
-        solution = self.lp.solve_runtime(L=self.params.L + delta_L, backend=self.backend)
-        return self.lp.latency_sensitivity(solution)
+        """``λ_L = ∂T/∂L`` at the given added latency (messages on the critical
+        path; the slope from above at a critical latency)."""
+        check_nonnegative(delta_L, "delta_L", "latency_sensitivity")
+        return self._curve().latency_sensitivity(self.params.L + delta_L)
 
     def l_ratio(self, delta_L: float = 0.0) -> float:
         """``ρ_L``: fraction of the predicted runtime attributable to network latency."""
-        L = self.params.L + delta_L
-        solution = self.lp.solve_runtime(L=L, backend=self.backend)
-        runtime = solution.objective
-        if runtime <= 0:
-            return 0.0
-        return L * self.lp.latency_sensitivity(solution) / runtime
+        check_nonnegative(delta_L, "delta_L", "l_ratio")
+        return self._curve().l_ratio(self.params.L + delta_L)
 
     def bandwidth_sensitivity(self, delta_L: float = 0.0) -> float:
-        """``λ_G = ∂T/∂G``: bytes (minus one per message) on the critical path."""
+        """``λ_G = ∂T/∂G``: bytes (minus one per message) on the critical path.
+
+        The one metric read from an LP solve: it needs the dual of the
+        symbolic gap variable."""
         if self._gap_mode != "global":
             raise ValueError(
                 "build the analyzer with gap_symbolic=True to query bandwidth sensitivity"
             )
+        check_nonnegative(delta_L, "delta_L", "bandwidth_sensitivity")
         solution = self.lp.solve_runtime(L=self.params.L + delta_L, backend=self.backend)
         return self.lp.gap_sensitivity(solution)
 
@@ -367,18 +382,10 @@ class LatencyAnalyzer:
 
         ``absolute=True`` returns the total tolerable latency ``L`` (as in
         Fig. 1); ``absolute=False`` returns the tolerable *added* latency ΔL.
-        A graph without messages does not depend on ``L`` at all: its
-        tolerance is ``inf``.
+        A runtime that stops growing with ``L`` — e.g. a graph without
+        messages — tolerates any latency: the answer is ``inf``.
         """
-        if degradation < 0:
-            raise ValueError(f"degradation must be non-negative, got {degradation}")
-        if self.lp.num_messages == 0:
-            return math.inf
-        bound = (1.0 + degradation) * self.baseline_runtime()
-        # reset the latency lower bound to the baseline before maximising
-        self.lp.set_latency_bound(self.params.L)
-        solution = self.lp.solve_max_latency(bound, backend=self.backend)
-        tolerance = solution.objective
+        tolerance = self._curve().latency_tolerance(degradation)
         return tolerance if absolute else tolerance - self.params.L
 
     def tolerance_report(
@@ -395,36 +402,15 @@ class LatencyAnalyzer:
 
     # -- curves and sweeps ------------------------------------------------------------
 
-    def sensitivity_curve(
-        self, delta_Ls: Iterable[float], *, engine: str = "lp"
-    ) -> SensitivityCurve:
-        """Sample runtime, ``λ_L`` and ``ρ_L`` over a ΔL sweep (Fig. 9 lower panels).
-
-        ``engine="lp"`` cold-solves one LP per point (the paper's method);
-        ``engine="batched"`` reconstructs the exact ``T(L)`` envelope with
-        ``O(#breakpoints)`` solves and evaluates every point from it — same
-        values, far fewer solver calls on dense sweeps.
-        """
+    def sensitivity_curve(self, delta_Ls: Iterable[float]) -> SensitivityCurve:
+        """Sample runtime, ``λ_L`` and ``ρ_L`` over a ΔL sweep (Fig. 9 lower
+        panels), every point read from the one envelope."""
         deltas = np.asarray(sorted(set(float(d) for d in delta_Ls)), dtype=np.float64)
-        if np.any(deltas < 0):
-            raise ValueError("delta_L values must be non-negative")
-        if engine not in ("lp", "batched"):
-            raise ValueError(f"unknown sweep engine {engine!r}; expected 'lp' or 'batched'")
+        check_nonnegative(deltas, "delta_Ls", "sensitivity_curve")
         Ls = self.params.L + deltas
-        runtimes = np.zeros_like(deltas)
-        lambdas = np.zeros_like(deltas)
-        if engine == "batched" and deltas.size:
-            span = float(Ls.max()) - float(Ls.min())
-            sweep = self.batched_sweep(
-                l_min=float(Ls.min()), l_max=float(Ls.max()) + max(span, 1.0) * 1e-9
-            )
-            runtimes = sweep.values(Ls)
-            lambdas = sweep.sensitivities(Ls)
-        else:
-            for i, L in enumerate(Ls):
-                solution = self.lp.solve_runtime(L=float(L), backend=self.backend)
-                runtimes[i] = solution.objective
-                lambdas[i] = self.lp.latency_sensitivity(solution)
+        envelope = self._curve().envelope
+        runtimes = envelope.sample(Ls)
+        lambdas = envelope.slopes(Ls)
         with np.errstate(divide="ignore", invalid="ignore"):
             rhos = np.where(runtimes > 0, Ls * lambdas / runtimes, 0.0)
         return SensitivityCurve(
@@ -434,49 +420,30 @@ class LatencyAnalyzer:
     def critical_latencies(
         self, l_min: float | None = None, l_max: float = 1_000.0, *, step: float | None = None
     ) -> list[float]:
-        """Critical latencies in ``[l_min, l_max]`` (Algorithm 2)."""
+        """Critical latencies in ``[l_min, l_max]`` (Algorithm 2): the
+        breakpoints of the envelope, coalesced by ``step`` when given."""
         lo = self.params.L if l_min is None else l_min
-        if self.envelope_engine != "lp" and self._lp is None:
-            # forward engine on the raw graph: no LP is ever assembled
-            return find_critical_latencies(
-                self.graph, lo, l_max, step=step, params=self.params,
-                envelope_engine=self.envelope_engine,
-            )
-        return find_critical_latencies(
-            self.lp, lo, l_max, backend=self.backend, step=step,
-            envelope_engine=self.envelope_engine,
-        )
+        return _collect_breakpoints(self._envelope(lo, l_max).breakpoints(), step)
 
-    def critical_latency_curve(self, l_min: float | None = None, l_max: float = 1_000.0):
-        """One :class:`~repro.lp.parametric.Tangent` per linear segment of ``T(L)``.
-
-        Runs the shared tangent-envelope search once on the cached LP; the
-        per-segment tangents are reconstructed from its cache without any
-        additional LP solves at the segment mid-points.
-        """
+    def critical_latency_curve(
+        self, l_min: float | None = None, l_max: float = 1_000.0
+    ) -> list[Tangent]:
+        """One :class:`~repro.lp.parametric.Tangent` per linear segment of
+        ``T(L)`` on ``[l_min, l_max]``, anchored at the segment mid-point."""
         lo = self.params.L if l_min is None else l_min
-        if self.envelope_engine != "lp" and self._lp is None:
-            return critical_latency_curve(
-                self.graph, lo, l_max, params=self.params,
-                envelope_engine=self.envelope_engine,
-            )
-        return critical_latency_curve(
-            self.lp, lo, l_max, backend=self.backend,
-            envelope_engine=self.envelope_engine,
-        )
+        return _segment_tangents(self._envelope(lo, l_max), lo, l_max)
 
     # -- reporting ----------------------------------------------------------------------
 
     def summary(self) -> dict[str, float]:
         """One-line summary used by the CLI and the examples."""
         report = self.tolerance_report()
-        lam = self.latency_sensitivity()
         return {
             "nranks": self.graph.nranks,
             "events": self.graph.num_events,
             "messages": self.graph.num_messages,
             "runtime_us": report.baseline_runtime,
-            "lambda_L": lam,
+            "lambda_L": self.latency_sensitivity(),
             "rho_L": self.l_ratio(),
             "tolerance_1pct_us": report.tolerance(0.01),
             "tolerance_2pct_us": report.tolerance(0.02),

@@ -7,54 +7,27 @@ the paper sweeps an interval ``[L_min, L_max]`` from above, repeatedly
 solving the LP and jumping to the lower end of the current basis's
 feasibility range (Gurobi's ``SALBLow``).
 
-The open-source HiGHS backend does not expose ranging information, so the
-breakpoints are recovered with the shared tangent-envelope search of
-:class:`repro.lp.parametric.ParametricLP` — ``O(#breakpoints)`` LP solves on
-one assembled model, the same complexity class as Algorithm 2 with exact
-ranging and strictly better than a fixed ``step`` sweep.  A ``step``
+Here the breakpoints are read off the exact ``T(L)`` envelope instead.  A raw
+execution graph plus ``params`` always goes through the single-traversal
+:func:`~repro.core.envelope.forward_envelope` (zero LP solves).  A prebuilt
+:class:`GraphLP` does too whenever it satisfies the affinity contract of
+``src/repro/lp/README.md``; otherwise the breakpoints come from the tangent
+search of :class:`repro.lp.parametric.ParametricLP` — ``O(#breakpoints)``
+LP solves on one assembled model, the same complexity class as Algorithm 2
+with exact ranging (HiGHS exposes no ranging information).  A ``step``
 argument is still accepted for compatibility with the paper's interface:
 when given, breakpoints closer than ``step`` are coalesced.
-
-With ``envelope_engine="forward"`` (or ``"auto"``, whenever the affinity
-contract of ``src/repro/lp/README.md`` holds) the breakpoints come from the
-single-traversal line propagation of :mod:`repro.core.envelope` instead —
-the same exact curve with zero LP solves.
-
-Both functions here are thin wrappers; the searches themselves live in
-:mod:`repro.lp.parametric` / :mod:`repro.core.envelope` and are shared with
-:class:`repro.core.parametric.BatchedSweep`.
 """
 
 from __future__ import annotations
 
-from ..lp.parametric import Tangent, TangentEnvelope
+from ..lp.parametric import Tangent
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 from .envelope import validate_interval
-from .lp_builder import GraphLP, build_lp
+from .lp_builder import GraphLP
 
 __all__ = ["Tangent", "find_critical_latencies", "critical_latency_curve"]
-
-
-def _as_graph_lp(
-    graph_lp: GraphLP | ExecutionGraph,
-    params: LogGPSParams | None,
-    engine: str,
-) -> GraphLP:
-    """Accept either a prebuilt :class:`GraphLP` or a raw execution graph.
-
-    Passing an :class:`ExecutionGraph` (plus ``params``) builds the LP on the
-    fly through the selected construction ``engine`` — the knob that picks
-    between the symbolic per-vertex sweep and the vectorised compiler of
-    :mod:`repro.lp.compiler`.
-    """
-    if isinstance(graph_lp, ExecutionGraph):
-        if params is None:
-            raise ValueError(
-                "passing an ExecutionGraph requires the params= keyword"
-            )
-        return build_lp(graph_lp, params, latency_mode="global", engine=engine)
-    return graph_lp
 
 
 def _collect_breakpoints(breakpoints, step: float | None) -> list[float]:
@@ -68,34 +41,33 @@ def _collect_breakpoints(breakpoints, step: float | None) -> list[float]:
     return collected
 
 
+def _segment_tangents(piecewise, l_min: float, l_max: float) -> list[Tangent]:
+    """One :class:`Tangent` per linear segment of ``piecewise``, anchored at
+    the segment mid-point."""
+    points = _collect_breakpoints(piecewise.breakpoints(), None)
+    boundaries = [l_min, *points, l_max]
+    mids = [0.5 * (lo + hi) for lo, hi in zip(boundaries, boundaries[1:])]
+    return [Tangent(L=x, value=piecewise.value(x), slope=piecewise.slope(x)) for x in mids]
+
+
 def _forward_piecewise(
     graph_lp: GraphLP | ExecutionGraph,
     params: LogGPSParams | None,
-    engine: str,
-    envelope_engine: str,
     l_min: float,
     l_max: float,
 ):
     """The envelope as a :class:`PiecewiseLinear` when the forward engine
-    applies, else ``None`` (caller falls back to the tangent search).
+    applies, else ``None`` (the caller runs the tangent search)."""
+    from .envelope import forward_envelope, resolve_envelope_engine
 
-    A raw :class:`ExecutionGraph` under ``"auto"``/``"forward"`` never
-    builds an LP at all; a prebuilt :class:`GraphLP` goes through
-    :func:`~repro.core.envelope.resolve_envelope_engine` so the affinity
-    contract is honoured (and violations raise for ``"forward"``).
-    """
-    from .envelope import _check_engine_name, forward_envelope, resolve_envelope_engine
-
-    _check_engine_name(envelope_engine)
-    if envelope_engine == "lp":
-        return None
     if isinstance(graph_lp, ExecutionGraph):
         if params is None:
             raise ValueError(
                 "passing an ExecutionGraph requires the params= keyword"
             )
         return forward_envelope(graph_lp, params, l_min=l_min, l_max=l_max)
-    if resolve_envelope_engine(envelope_engine, graph_lp) == "forward":
+    # "auto" is the only request: the LP alone decides the engine
+    if resolve_envelope_engine("auto", graph_lp) == "forward":
         return forward_envelope(
             graph_lp.graph, graph_lp.params, l_min=l_min, l_max=l_max
         )
@@ -111,27 +83,20 @@ def find_critical_latencies(
     step: float | None = None,
     max_solves: int = 10_000,
     params: LogGPSParams | None = None,
-    engine: str = "auto",
-    envelope_engine: str = "auto",
 ) -> list[float]:
     """All critical latencies of ``graph_lp`` inside ``[l_min, l_max]``.
 
+    ``graph_lp`` is a :class:`GraphLP` or a raw
+    :class:`~repro.schedgen.graph.ExecutionGraph` together with ``params=``.
     ``step``, when given, coalesces breakpoints closer than ``step`` (the
-    resolution knob of the paper's Algorithm 2); ``max_solves`` bounds the
-    number of LP solves.  ``graph_lp`` may also be a raw
-    :class:`~repro.schedgen.graph.ExecutionGraph` together with ``params=``;
-    the LP is then built through the selected construction ``engine``.
-    ``envelope_engine`` picks how the envelope is recovered — the forward
-    line propagation (no LP solves) or the LP tangent search; both return
-    the identical breakpoints.
+    resolution knob of the paper's Algorithm 2); ``backend`` and
+    ``max_solves`` apply to the tangent search of an LP outside the affinity
+    contract.
     """
     validate_interval(l_min, l_max)
-    piecewise = _forward_piecewise(
-        graph_lp, params, engine, envelope_engine, l_min, l_max
-    )
+    piecewise = _forward_piecewise(graph_lp, params, l_min, l_max)
     if piecewise is not None:
         return _collect_breakpoints(piecewise.breakpoints(), step)
-    graph_lp = _as_graph_lp(graph_lp, params, engine)
     result = graph_lp.tangent_envelope(l_min, l_max, backend=backend, max_solves=max_solves)
     return _collect_breakpoints(result.breakpoints, step)
 
@@ -144,35 +109,20 @@ def critical_latency_curve(
     backend: str = "highs",
     max_solves: int = 10_000,
     params: LogGPSParams | None = None,
-    engine: str = "auto",
-    envelope_engine: str = "auto",
 ) -> list[Tangent]:
     """Tangents of ``T(L)`` on every linear segment of ``[l_min, l_max]``.
 
     Returns one :class:`Tangent` per segment (anchored at the segment
     mid-point), which is enough to reconstruct the exact ``T(L)`` curve and
-    the step function ``λ_L(L)`` over the interval.  The segment tangents are
-    served from the cache of the single envelope search — no additional LP
-    solves at the segment mid-points.  Accepts a raw execution graph (plus
-    ``params=`` / ``engine=``) like :func:`find_critical_latencies`, and the
-    same ``envelope_engine`` knob.
+    the step function ``λ_L(L)`` over the interval.  Accepts the same inputs
+    as :func:`find_critical_latencies`; on the tangent-search path the
+    segment tangents are served from the search cache — no additional LP
+    solves at the segment mid-points.
     """
     validate_interval(l_min, l_max)
-    piecewise = _forward_piecewise(
-        graph_lp, params, engine, envelope_engine, l_min, l_max
-    )
+    piecewise = _forward_piecewise(graph_lp, params, l_min, l_max)
     if piecewise is not None:
-        points = _collect_breakpoints(piecewise.breakpoints(), None)
-        boundaries = [l_min, *points, l_max]
-        return [
-            Tangent(
-                L=0.5 * (lo + hi),
-                value=piecewise.value(0.5 * (lo + hi)),
-                slope=piecewise.slope(0.5 * (lo + hi)),
-            )
-            for lo, hi in zip(boundaries, boundaries[1:])
-        ]
-    graph_lp = _as_graph_lp(graph_lp, params, engine)
+        return _segment_tangents(piecewise, l_min, l_max)
     result = graph_lp.tangent_envelope(l_min, l_max, backend=backend, max_solves=max_solves)
     points = _collect_breakpoints(result.breakpoints, None)
     boundaries = [l_min, *points, l_max]

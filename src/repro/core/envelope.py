@@ -40,12 +40,11 @@ LP tangent envelope: at the LP optimum every symbolic variable other than
 bounds as constants reproduces the optimal objective for every ``L``.  The
 engine therefore requires the **affinity contract** documented in
 ``src/repro/lp/README.md``: a global latency variable, no per-pair HLogGP
-variables, and gap/overhead bounds that still equal ``params`` — anything
-else falls back to the :class:`~repro.lp.parametric.ParametricLP` oracle
-(``envelope_engine="auto"``) or raises (``envelope_engine="forward"``).
-Artifact-store envelope keys deliberately exclude the engine choice, so
-cached entries are shared across engines (see
-:mod:`repro.artifacts.store`).
+variables, and gap/overhead bounds that still equal ``params``.  A raw graph
+plus ``params`` always satisfies it; a prebuilt LP that breaks it (see
+:func:`forward_incompatibility`) is answered by the
+:class:`~repro.lp.parametric.ParametricLP` tangent search instead, which
+also serves as the test oracle of this module.
 """
 
 from __future__ import annotations
@@ -59,15 +58,12 @@ from ..network.params import LogGPSParams
 from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
 
 __all__ = [
-    "ENVELOPE_ENGINES",
+    "check_nonnegative",
     "forward_envelope",
     "forward_incompatibility",
     "resolve_envelope_engine",
     "forward_supports_modes",
 ]
-
-#: the accepted values of every ``envelope_engine=`` knob.
-ENVELOPE_ENGINES = ("auto", "forward", "lp")
 
 #: iterations of the simultaneous neighbour-elimination before the segmented
 #: hull falls back to the sequential per-segment stack scan.  Each pass
@@ -104,17 +100,22 @@ def validate_interval(l_min: float, l_max: float) -> None:
         )
 
 
+def check_nonnegative(value, arg: str, func: str) -> None:
+    """Reject a NaN, infinite or negative latency argument (scalar or
+    sequence) with a message naming the argument and the function."""
+    values = np.asarray(value, dtype=np.float64)
+    bad = ~np.isfinite(values) | (values < 0)
+    if bad.any():
+        shown = float(values) if values.ndim == 0 else values[bad].tolist()
+        raise ValueError(
+            f"argument '{arg}' to {func}: must be finite and non-negative, "
+            f"got {shown!r}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # engine resolution / affinity contract
 # ---------------------------------------------------------------------------
-
-
-def _check_engine_name(engine: str) -> None:
-    if engine not in ENVELOPE_ENGINES:
-        raise ValueError(
-            f"unknown envelope_engine {engine!r}; "
-            f"expected one of {ENVELOPE_ENGINES}"
-        )
 
 
 def forward_incompatibility(graph_lp) -> str | None:
@@ -124,8 +125,8 @@ def forward_incompatibility(graph_lp) -> str | None:
     i.e. the LP satisfies the affinity contract (``T(L)`` depends on the
     single global latency variable only, every other symbolic bound still
     equals its ``params`` value).  Otherwise returns a human-readable
-    reason, used verbatim in the ``envelope_engine="forward"`` error and to
-    drive the ``"auto"`` fallback to the :class:`ParametricLP` oracle.
+    reason, and the envelope comes from the :class:`ParametricLP` tangent
+    search.
     """
     if graph_lp.latency is None:
         return (
@@ -160,25 +161,15 @@ def forward_incompatibility(graph_lp) -> str | None:
 
 
 def resolve_envelope_engine(engine: str, graph_lp) -> str:
-    """Resolve an ``envelope_engine`` request against one :class:`GraphLP`.
+    """The envelope engine for ``graph_lp``: ``"forward"`` when
+    :func:`forward_incompatibility` finds nothing, ``"lp"`` otherwise.
 
-    ``"lp"`` always resolves to itself; ``"forward"`` raises a
-    :class:`ValueError` naming the violated affinity condition when the
-    forward pass would not be exact; ``"auto"`` picks the forward pass when
-    it is exact and silently falls back to the LP oracle otherwise.
+    ``engine`` is always ``"auto"``: the choice is made from the LP alone.
+    The parameter stays, positional and first, because the pipeline
+    benchmark's tracer (``perfbench/spans.py``) wraps this function by name
+    and reads ``args[0]`` to count LP fallbacks.
     """
-    _check_engine_name(engine)
-    if engine == "lp":
-        return "lp"
-    reason = forward_incompatibility(graph_lp)
-    if reason is None:
-        return "forward"
-    if engine == "forward":
-        raise ValueError(
-            f"envelope_engine='forward' cannot analyse this LP: {reason}; "
-            "use envelope_engine='lp' or 'auto'"
-        )
-    return "lp"
+    return "forward" if forward_incompatibility(graph_lp) is None else "lp"
 
 
 def forward_supports_modes(build_kwargs: Mapping[str, object]) -> bool:

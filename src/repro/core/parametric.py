@@ -9,12 +9,12 @@ where each term corresponds to one path through the execution graph
 paper notes that materialising this expression by dynamic programming is
 intractable in their C++ implementation; here it is an *upper-envelope*
 representation — only the lines that are maximal somewhere in the latency
-interval of interest are kept — computed exactly either in one graph
-traversal (:func:`repro.core.envelope.forward_envelope`) or from LP tangents
-(:class:`BatchedSweep`).
+interval of interest are kept — computed exactly in one graph traversal
+(:func:`repro.core.envelope.forward_envelope`), or from LP tangents for LPs
+outside the forward pass's affinity contract (:meth:`BatchedSweep.lp_envelope`).
 
 The resulting :class:`PiecewiseLinear` envelope directly yields every
-quantity LLAMP otherwise extracts from LP re-solves:
+quantity the paper extracts from LP re-solves:
 
 * ``T(L)``                      — :meth:`PiecewiseLinear.value`;
 * ``λ_L(L)``                    — :meth:`PiecewiseLinear.slope`;
@@ -24,11 +24,13 @@ quantity LLAMP otherwise extracts from LP re-solves:
   given ``L`` (Gurobi's ranging) — :meth:`PiecewiseLinear.segment_of`.
 
 :class:`ParametricAnalysis` wraps an envelope with the baseline
-parameters (``LatencyAnalyzer.parametric()``).
+parameters (``LatencyAnalyzer.parametric()``); every metric of
+:class:`~repro.core.analyzer.LatencyAnalyzer` is read through it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -210,13 +212,18 @@ class PiecewiseLinear:
         """Largest ``x`` in ``[lo, hi]`` with ``value(x) <= target``.
 
         Used for the latency-tolerance query.  Returns ``hi`` if the whole
-        interval satisfies the bound and raises if even ``lo`` violates it.
+        interval satisfies the bound — always so when the steepest piece is
+        flat, e.g. on ``[lo, inf)`` for a graph without messages — and
+        raises if even ``lo`` violates it.  No line is ever evaluated at an
+        infinite ``hi``.
         """
         if self.value(self.lo) > target + 1e-12:
             raise ValueError(
                 f"runtime bound {target} is below the runtime at L={self.lo}"
             )
-        if self.value(self.hi) <= target:
+        if self.lines[-1].slope <= 0 or (
+            math.isfinite(self.hi) and self.value(self.hi) <= target
+        ):
             return self.hi
         # the active piece at the crossing has positive slope
         best = self.lo
@@ -269,8 +276,9 @@ class ParametricAnalysis:
 
     def latency_tolerance(self, degradation: float, baseline_L: float | None = None) -> float:
         """Maximum ``L`` keeping the runtime within ``(1 + degradation)·T(L₀)``."""
-        if degradation < 0:
-            raise ValueError(f"degradation must be non-negative, got {degradation}")
+        from .envelope import check_nonnegative
+
+        check_nonnegative(degradation, "degradation", "latency_tolerance")
         base = self.params.L if baseline_L is None else baseline_L
         bound = (1.0 + degradation) * self.envelope.value(base)
         return self.envelope.solve_for_value(bound)
@@ -286,26 +294,26 @@ class ParametricAnalysis:
 
 
 class BatchedSweep:
-    """Reuse one assembled LP across a whole latency sweep.
+    """The exact ``T(L)`` curve of one LP over a latency interval.
 
-    The cold path solves an independent LP per ``(graph, L)`` point: each
-    solve re-lowers the model and cold-starts the solver.  ``BatchedSweep``
-    exploits two structural facts instead:
+    On every LP that satisfies the affinity contract of
+    ``src/repro/lp/README.md`` (the latency-global LPs the analyzer and the
+    sweep helpers build) the envelope comes from the single-traversal
+    :func:`~repro.core.envelope.forward_envelope`: no LP is assembled or
+    solved.  An LP outside the contract — per-pair HLogGP variables, moved
+    gap/overhead bounds — is answered by :meth:`lp_envelope`, the
+    ``ParametricLP`` tangent search, which also serves as the test oracle:
 
-    1. only the lower bound of the latency variable changes between sweep
-       points, so the CSR lowering (:mod:`repro.lp.assembler`) is built once
-       per graph and every re-solve just refreshes the bounds vector;
+    1. only the lower bound of the latency variable changes between probes,
+       so the CSR lowering (:mod:`repro.lp.assembler`) is built once and
+       every re-solve just refreshes the bounds vector;
     2. ``T(L)`` is convex piecewise linear, and each solve at ``L`` returns
        the *tangent* of the curve — the value ``T(L)`` and the slope ``λ_L``
-       (reduced cost of ``l``).  The previous vertex therefore remains
-       optimal until the sweep crosses a breakpoint: recursing on tangent
-       intersections discovers every linear segment with
-       ``O(#breakpoints)`` LP solves, after which any number of sweep points
-       is evaluated from the reconstructed envelope without touching the
-       solver again.
+       (reduced cost of ``l``) — so recursing on tangent intersections
+       discovers every linear segment with ``O(#breakpoints)`` LP solves.
 
-    The result is exact (not an approximation): every returned value lies on
-    the same piecewise-linear curve the per-point cold solves sample.
+    Either way the result is exact, and any number of sweep points is then
+    evaluated from the envelope without touching a solver.
 
     Parameters
     ----------
@@ -315,20 +323,14 @@ class BatchedSweep:
     l_min, l_max:
         The latency interval swept.
     backend:
-        Backend name from the default registry (``"auto"`` picks the dense
-        simplex for tiny models, HiGHS otherwise).
+        Backend name from the default registry for the tangent search
+        (``"auto"`` picks the dense simplex for tiny models, HiGHS
+        otherwise).
     max_pieces:
         Guard against pathological envelope growth: discovering more than
         this many linear segments raises :class:`EnvelopeOverflowError`.
     max_solves:
-        Hard bound on the number of LP solves.
-    envelope_engine:
-        ``"forward"`` computes the envelope with the single-traversal line
-        propagation of :mod:`repro.core.envelope` (no LP solves at all),
-        ``"lp"`` forces the tangent search, and ``"auto"`` (default) picks
-        the forward pass whenever it is exact for this LP and falls back to
-        the tangent search otherwise.  Both engines return the identical
-        curve — see the affinity contract in ``src/repro/lp/README.md``.
+        Hard bound on the number of LP solves of the tangent search.
     """
 
     def __init__(
@@ -340,10 +342,7 @@ class BatchedSweep:
         backend: str = "auto",
         max_pieces: int = 50_000,
         max_solves: int = 10_000,
-        envelope_engine: str = "auto",
     ) -> None:
-        from .envelope import _check_engine_name
-
         if graph_lp.latency is None:
             raise ValueError(
                 "BatchedSweep requires a GraphLP built with latency_mode='global'"
@@ -352,14 +351,12 @@ class BatchedSweep:
             raise ValueError(f"invalid latency interval [{l_min}, {l_max}]")
         if max_pieces < 1:
             raise ValueError(f"max_pieces must be positive, got {max_pieces}")
-        _check_engine_name(envelope_engine)
         self.graph_lp = graph_lp
         self.l_min = float(l_min)
         self.l_max = float(l_max)
         self.backend = backend
         self.max_pieces = max_pieces
         self.max_solves = max_solves
-        self.envelope_engine = envelope_engine
         self.num_solves = 0
         self._envelope: PiecewiseLinear | None = None
 
@@ -378,7 +375,6 @@ class BatchedSweep:
         sweep.backend = "cached"
         sweep.max_pieces = max(len(envelope.lines), 1)
         sweep.max_solves = 0
-        sweep.envelope_engine = "cached"
         sweep.num_solves = 0
         sweep._envelope = envelope
         return sweep
@@ -386,15 +382,13 @@ class BatchedSweep:
     # -- envelope construction -------------------------------------------------
 
     def _build_envelope(self) -> PiecewiseLinear:
-        if self.graph_lp is None:
-            raise ValueError(
-                "this BatchedSweep was restored from a cached envelope and "
-                "has no model to solve"
-            )
         from .envelope import forward_envelope, resolve_envelope_engine
 
-        if resolve_envelope_engine(self.envelope_engine, self.graph_lp) == "forward":
-            # single-traversal line propagation: exact, zero LP solves
+        # "auto" is the only request: the LP alone decides the engine
+        if (
+            self.graph_lp is not None
+            and resolve_envelope_engine("auto", self.graph_lp) == "forward"
+        ):
             return forward_envelope(
                 self.graph_lp.graph,
                 self.graph_lp.params,
@@ -402,8 +396,21 @@ class BatchedSweep:
                 l_max=self.l_max,
                 max_pieces=self.max_pieces,
             )
-        # the tangent-probing search is the shared ParametricLP engine; this
-        # class only owns the geometric reconstruction of the envelope
+        return self.lp_envelope()
+
+    def lp_envelope(self) -> PiecewiseLinear:
+        """The envelope from the ``ParametricLP`` tangent search.
+
+        Runs the LP search whatever the LP (``num_solves`` counts its
+        solves): the engine behind LPs outside the affinity contract, and
+        the oracle the forward pass is verified against.  Does not replace
+        :attr:`envelope`.
+        """
+        if self.graph_lp is None:
+            raise ValueError(
+                "this BatchedSweep was restored from a cached envelope and "
+                "has no model to solve"
+            )
         engine = ParametricLP(
             self.graph_lp.model, backend=self.backend, max_solves=self.max_solves
         )
@@ -458,39 +465,46 @@ class BatchedSweep:
         return self.envelope.solve_for_value(runtime_bound)
 
 
+def _fresh_envelope(
+    graph, params, l_min, l_max, backend, max_pieces, build_kwargs
+) -> PiecewiseLinear:
+    """The envelope of a fresh ``build_lp(graph, params, **build_kwargs)``.
+
+    Modes in which a fresh LP is always forward-compatible skip the LP build
+    altogether; any other modes build the LP and let :class:`BatchedSweep`
+    pick the engine.  Shared by the serial sweeps and the pool workers.
+    """
+    from .envelope import forward_envelope, forward_supports_modes
+
+    if forward_supports_modes(build_kwargs):
+        return forward_envelope(
+            graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces
+        )
+    from .lp_builder import build_lp
+
+    return BatchedSweep(
+        build_lp(graph, params, **build_kwargs),
+        l_min=l_min,
+        l_max=l_max,
+        backend=backend,
+        max_pieces=max_pieces,
+    ).envelope
+
+
 def _sweep_one_graph(job) -> PiecewiseLinear:
-    (graph, params, l_min, l_max, backend, max_pieces, cache_dir,
-     envelope_engine, build_kwargs) = job
+    graph, params, l_min, l_max, backend, max_pieces, cache_dir, build_kwargs = job
 
     def build() -> PiecewiseLinear:
-        from .envelope import forward_envelope, forward_supports_modes
-
-        if envelope_engine != "lp" and forward_supports_modes(build_kwargs):
-            # a fresh LP in these modes is always forward-compatible, so the
-            # forward pass can skip the LP assembly altogether
-            return forward_envelope(
-                graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces
-            )
-        from .lp_builder import build_lp
-
-        graph_lp = build_lp(graph, params, **build_kwargs)
-        sweep = BatchedSweep(
-            graph_lp,
-            l_min=l_min,
-            l_max=l_max,
-            backend=backend,
-            max_pieces=max_pieces,
-            envelope_engine=envelope_engine,
+        return _fresh_envelope(
+            graph, params, l_min, l_max, backend, max_pieces, build_kwargs
         )
-        return sweep.envelope
 
     if cache_dir is None:
         return build()
     from ..artifacts import ArtifactStore, envelope_key
 
     store = ArtifactStore(cache_dir)
-    # the shared store key: engine-free (both envelope engines produce the
-    # identical curve), equal to the analyzer's and the sweep pool's
+    # the shared store key, equal to the analyzer's and the sweep pool's
     key = envelope_key(
         graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces, **build_kwargs
     )
@@ -507,7 +521,6 @@ def batched_sweep_graphs(
     max_pieces: int = 50_000,
     processes: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    envelope_engine: str = "auto",
     **build_kwargs,
 ) -> list[PiecewiseLinear]:
     """Batched sweeps of several independent graphs, optionally in parallel.
@@ -530,13 +543,9 @@ def batched_sweep_graphs(
     LP.  The store's writes are atomic, so pool workers may race on a key
     safely.
 
-    ``envelope_engine`` selects how each envelope is computed (see
-    :class:`BatchedSweep`); cache keys are engine-free, so entries warmed by
-    one engine are reused by the other.
+    Each envelope comes from the forward pass unless ``build_kwargs`` ask
+    for an LP outside its affinity contract (see :class:`BatchedSweep`).
     """
-    from .envelope import _check_engine_name
-
-    _check_engine_name(envelope_engine)
     cache_dir = None if cache_dir is None else os.fspath(cache_dir)
     from ..schedgen.columnar import ScheduleBatches
 
@@ -559,7 +568,6 @@ def batched_sweep_graphs(
                 l_max=l_max,
                 backend=backend,
                 max_pieces=max_pieces,
-                envelope_engine=envelope_engine,
                 **build_kwargs,
             )
 
@@ -571,7 +579,7 @@ def batched_sweep_graphs(
         if envelope is None:
             envelope = _sweep_one_graph(
                 (graph, params, l_min, l_max, backend, max_pieces, cache_dir,
-                 envelope_engine, build_kwargs)
+                 build_kwargs)
             )
             by_digest[digest] = envelope
         envelopes.append(envelope)

@@ -62,23 +62,15 @@ class SweepTask:
     max_pieces: int = 50_000
     build_kwargs: tuple[tuple[str, object], ...] = ()
     sim: tuple[str, tuple[float, ...]] | None = None  # (injector, deltas)
-    envelope_engine: str = "auto"
     segment: str | None = field(default=None, compare=False)
     params: LogGPSParams | None = field(default=None, compare=False)
     scenario: str | None = field(default=None, compare=False)
 
     def dedupe_key(self) -> tuple:
-        """Two tasks with equal keys produce bit-identical results.
-
-        The ``envelope_engine`` is part of this key (conservatively — the
-        engines agree to well below solver tolerance, but bit-identity is
-        only claimed within one engine), yet *not* of :meth:`store_key`:
-        cached envelopes are shared across engines.
-        """
+        """Two tasks with equal keys produce bit-identical results."""
         return (
             self.graph_digest, self.params_digest, self.l_min, self.l_max,
             self.backend, self.max_pieces, self.build_kwargs, self.sim,
-            self.envelope_engine,
         )
 
     def store_key(self) -> str:
@@ -163,8 +155,7 @@ def _execute_task(task: SweepTask) -> dict:
     """Run one scenario against the resolved graph; returns the payload."""
     import resource
 
-    from ..core.lp_builder import build_lp
-    from ..core.parametric import BatchedSweep
+    from ..core.parametric import _fresh_envelope
 
     graph = _resolve_graph(task)
     if task.params is None:
@@ -174,28 +165,10 @@ def _execute_task(task: SweepTask) -> dict:
         )
 
     def build():
-        from ..core.envelope import forward_envelope, forward_supports_modes
-
-        build_kwargs = dict(task.build_kwargs)
-        if task.envelope_engine != "lp" and forward_supports_modes(build_kwargs):
-            # forward-compatible modes on a fresh build: skip the LP entirely
-            return forward_envelope(
-                graph,
-                task.params,
-                l_min=task.l_min,
-                l_max=task.l_max,
-                max_pieces=task.max_pieces,
-            )
-        graph_lp = build_lp(graph, task.params, **build_kwargs)
-        sweep = BatchedSweep(
-            graph_lp,
-            l_min=task.l_min,
-            l_max=task.l_max,
-            backend=task.backend,
-            max_pieces=task.max_pieces,
-            envelope_engine=task.envelope_engine,
+        return _fresh_envelope(
+            graph, task.params, task.l_min, task.l_max, task.backend,
+            task.max_pieces, dict(task.build_kwargs),
         )
-        return sweep.envelope
 
     store: ArtifactStore | None = _WORKER.get("store")
     if store is not None:
@@ -406,7 +379,6 @@ class SweepPool:
         l_max: float = 10_000.0,
         backend: str = "auto",
         max_pieces: int = 50_000,
-        envelope_engine: str = "auto",
         **build_kwargs,
     ) -> list:
         """One exact ``T(L)`` envelope per graph (duplicates solved once).
@@ -426,7 +398,6 @@ class SweepPool:
                 backend=backend,
                 max_pieces=int(max_pieces),
                 build_kwargs=build_items,
-                envelope_engine=envelope_engine,
                 params=params,
                 scenario=f"graph[{i}] {graph.content_digest()[:12]}…",
             )

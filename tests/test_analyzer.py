@@ -1,5 +1,6 @@
 """Tests for the high-level LatencyAnalyzer API."""
 
+import json
 import math
 
 import numpy as np
@@ -114,6 +115,17 @@ class TestTolerance:
         assert analyzer.latency_tolerance(0.01) == math.inf
         assert analyzer.latency_tolerance(0.01, absolute=False) == math.inf
         assert analyzer.tolerance_report().tolerance(0.05) == math.inf
+
+    def test_unbounded_curve_of_communication_free_graph(self):
+        from repro.apps import lulesh
+        from repro.network.params import CSCS_TESTBED
+
+        graph = lulesh.build(1, CSCS_TESTBED)
+        analysis = LatencyAnalyzer(graph, CSCS_TESTBED).parametric(l_max=math.inf)
+        assert analysis.latency_tolerance(0.01) == math.inf
+        assert analysis.runtime() == pytest.approx(
+            LatencyAnalyzer(graph, CSCS_TESTBED).baseline_runtime()
+        )
 
 
 class TestCurves:
@@ -232,3 +244,40 @@ class TestFusedEngine:
         for engine in ("warp", "auto", "fused"):
             with pytest.raises(ValueError, match="engine"):
                 build_lp(spec, PARAMS, engine=engine)
+
+
+class TestNoLPWork:
+    """The latency metrics are read off the envelope: no LP is compiled or
+    solved on the analyze, curve or validation paths."""
+
+    @pytest.fixture
+    def refuse_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LP was compiled or solved")
+
+        monkeypatch.setattr("repro.lp.compiler.compile_lp", refuse)
+        monkeypatch.setattr("repro.lp.compiler.compile_lp_from_batches", refuse)
+        monkeypatch.setattr("repro.lp.backends.BackendRegistry.solve", refuse)
+
+    def test_cli_and_validation_sweep_compile_no_lp(self, refuse_lp, small_app_graph, capsys):
+        from repro.analysis.validation import run_validation_sweep
+        from repro.cli import main
+        from repro.network.params import CSCS_TESTBED
+
+        assert main(["analyze", "icon", "--nranks", "8", "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["tolerance_1pct_us"] >= CSCS_TESTBED.L
+        assert main(["curve", "icon", "--nranks", "4", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["lp_solves"] == 0
+        sweep = run_validation_sweep(small_app_graph, PARAMS, delta_Ls=[0.0, 10.0, 50.0])
+        assert np.all(sweep.predicted > 0)
+
+    def test_analyzer_metrics_compile_no_lp(self, refuse_lp, small_app_graph):
+        analyzer = LatencyAnalyzer(small_app_graph, PARAMS)
+        summary = analyzer.summary()
+        analyzer.sensitivity_curve([0.0, 25.0])
+        analyzer.tolerance_report()
+        analyzer.critical_latencies()
+        analyzer.critical_latency_curve()
+        assert summary["runtime_us"] > 0
+        assert analyzer._lp is None

@@ -191,24 +191,23 @@ class TestBatchedSweepGraphs:
 
 class TestAnalyzerIntegration:
     def test_batched_engine_matches_lp_engine(self, running_example, paper_params):
+        # the analyzer's curve (read off its envelope) against one LP solve
+        # per point
         deltas = np.linspace(0.0, 2.0, 25)
-        lp_curve = LatencyAnalyzer(running_example, paper_params).sensitivity_curve(deltas)
-        batched_curve = LatencyAnalyzer(running_example, paper_params).sensitivity_curve(
-            deltas, engine="batched"
-        )
-        np.testing.assert_allclose(batched_curve.runtime, lp_curve.runtime, atol=1e-6)
-        np.testing.assert_allclose(batched_curve.l_ratio, lp_curve.l_ratio, atol=1e-6)
+        curve = LatencyAnalyzer(running_example, paper_params).sensitivity_curve(deltas)
+        lp = build_lp(running_example, paper_params)
+        for delta, runtime, rho in zip(deltas, curve.runtime, curve.l_ratio):
+            L = paper_params.L + delta
+            solution = lp.solve_runtime(L=L)
+            assert runtime == pytest.approx(solution.objective, abs=1e-6)
+            expected_rho = L * lp.latency_sensitivity(solution) / solution.objective
+            assert rho == pytest.approx(expected_rho, abs=1e-6)
 
     def test_empty_sweep_matches_lp_engine(self, running_example, paper_params):
         analyzer = LatencyAnalyzer(running_example, paper_params)
-        curve = analyzer.sensitivity_curve([], engine="batched")
+        curve = analyzer.sensitivity_curve([])
         assert curve.runtime.size == 0
         assert curve.l_ratio.size == 0
-
-    def test_unknown_engine_rejected(self, running_example, paper_params):
-        analyzer = LatencyAnalyzer(running_example, paper_params)
-        with pytest.raises(ValueError, match="engine"):
-            analyzer.sensitivity_curve([0.0, 1.0], engine="warp")
 
     def test_batched_sweep_helper_defaults_to_baseline_latency(self):
         graph = build_running_example()

@@ -5,8 +5,7 @@ The contract under test: ``forward_envelope`` produces the *identical*
 as the :class:`ParametricLP` tangent search, whenever the affinity
 contract documented in ``src/repro/lp/README.md`` ("Envelope engines")
 holds.  Non-affine LPs (per-pair HLogGP variables, moved symbolic
-bounds) must make ``envelope_engine="forward"`` raise and
-``envelope_engine="auto"`` fall back to the LP oracle silently.
+bounds) must fall back to the LP tangent search silently.
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.artifacts import ArtifactStore
+from repro.artifacts import ArtifactStore, envelope_key
 from repro.core import (
-    ENVELOPE_ENGINES,
     BatchedSweep,
     EnvelopeOverflowError,
     LatencyAnalyzer,
@@ -86,9 +84,8 @@ def lp_envelope(graph, params, *, l_min=0.0, l_max=100.0, **build_kwargs):
         build_lp(graph, params, latency_mode="global", **build_kwargs),
         l_min=l_min,
         l_max=l_max,
-        envelope_engine="lp",
     )
-    envelope = sweep.envelope
+    envelope = sweep.lp_envelope()
     assert sweep.num_solves > 0  # the oracle really solved LPs
     return envelope
 
@@ -150,9 +147,9 @@ class TestForwardParity:
             overhead_mode=overhead_mode,
         )
         assert forward_incompatibility(lp) is None
-        forward = BatchedSweep(
-            lp, l_min=0.0, l_max=100.0, envelope_engine="forward"
-        ).envelope
+        sweep = BatchedSweep(lp, l_min=0.0, l_max=100.0)
+        forward = sweep.envelope
+        assert sweep.num_solves == 0  # the forward pass, not the tangent search
         assert_envelopes_identical(
             forward,
             lp_envelope(
@@ -209,15 +206,12 @@ class TestNonAffineFallback:
         reason = forward_incompatibility(lp)
         assert reason is not None and "per-pair" in reason
         assert resolve_envelope_engine("auto", lp) == "lp"
-        sweep = BatchedSweep(lp, l_min=0.0, l_max=50.0, envelope_engine="auto")
-        sweep.envelope
+        sweep = BatchedSweep(lp, l_min=0.0, l_max=50.0)
+        # every per-pair gap sits at params.G, so the curve is the affine one
+        assert_envelopes_identical(
+            sweep.envelope, forward_envelope(graph, PARAMS, l_min=0.0, l_max=50.0)
+        )
         assert sweep.num_solves > 0  # the oracle ran
-
-    def test_per_pair_gap_explicit_forward_raises(self):
-        graph = build_random_dag(3)
-        lp = build_lp(graph, PARAMS, latency_mode="global", gap_mode="per_pair")
-        with pytest.raises(ValueError, match="envelope_engine='forward'"):
-            resolve_envelope_engine("forward", lp)
 
     def test_per_pair_latency_mode_is_incompatible(self):
         graph = build_random_dag(3)
@@ -243,23 +237,12 @@ class TestNonAffineFallback:
         reason = forward_incompatibility(lp)
         assert reason is not None and "overhead lower bound" in reason
 
-    def test_unknown_engine_name_rejected_everywhere(self):
-        graph = build_running_example()
-        lp = build_lp(graph, PARAMS, latency_mode="global")
-        with pytest.raises(ValueError, match="unknown envelope_engine"):
-            resolve_envelope_engine("simplex", lp)
-        with pytest.raises(ValueError, match="unknown envelope_engine"):
-            BatchedSweep(lp, envelope_engine="simplex")
-        with pytest.raises(ValueError, match="unknown envelope_engine"):
-            LatencyAnalyzer(graph, PARAMS, envelope_engine="simplex")
-
     def test_forward_supports_modes_matches_build_knobs(self):
         assert forward_supports_modes({})
         assert forward_supports_modes({"gap_mode": "global"})
         assert not forward_supports_modes({"gap_mode": "per_pair"})
         assert not forward_supports_modes({"latency_mode": "per_pair"})
         assert not forward_supports_modes({"mystery_knob": 1})
-        assert "auto" in ENVELOPE_ENGINES and "lp" in ENVELOPE_ENGINES
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +282,8 @@ class TestCriticalLatencies:
     def test_breakpoints_match_lp_engine(self):
         graph = build_staircase(5)
         lp = build_lp(graph, ZERO_OVERHEAD, latency_mode="global")
-        fw = find_critical_latencies(lp, 0.0, 8.0, envelope_engine="forward")
-        ref = find_critical_latencies(lp, 0.0, 8.0, envelope_engine="lp")
+        fw = find_critical_latencies(lp, 0.0, 8.0)
+        ref = sorted(lp.tangent_envelope(0.0, 8.0).breakpoints)
         np.testing.assert_allclose(fw, ref, atol=1e-6)
         np.testing.assert_allclose(fw, [1.0, 2.0, 3.0, 4.0], atol=1e-9)
 
@@ -314,9 +297,12 @@ class TestCriticalLatencies:
 
     def test_curve_tangents_match_lp_engine(self):
         graph = build_random_dag(11)
-        lp = build_lp(graph, PARAMS, latency_mode="global")
-        fw = critical_latency_curve(lp, 0.0, 60.0, envelope_engine="forward")
-        ref = critical_latency_curve(lp, 0.0, 60.0, envelope_engine="lp")
+        fw = critical_latency_curve(graph, 0.0, 60.0, params=PARAMS)
+        # a per-pair gap LP breaks affinity: its curve comes from the tangent
+        # search, yet every pair gap sits at params.G, so the curve is equal
+        lp = build_lp(graph, PARAMS, latency_mode="global", gap_mode="per_pair")
+        assert forward_incompatibility(lp) is not None
+        ref = critical_latency_curve(lp, 0.0, 60.0)
         assert len(fw) == len(ref)
         for a, b in zip(fw, ref):
             assert a.slope == pytest.approx(b.slope, abs=1e-6)
@@ -324,7 +310,7 @@ class TestCriticalLatencies:
 
     def test_analyzer_forward_engine_never_builds_lp(self):
         graph = build_staircase(4)
-        analyzer = LatencyAnalyzer(graph, ZERO_OVERHEAD, envelope_engine="forward")
+        analyzer = LatencyAnalyzer(graph, ZERO_OVERHEAD)
         points = analyzer.critical_latencies(0.0, 8.0)
         np.testing.assert_allclose(points, [1.0, 2.0, 3.0], atol=1e-9)
         assert analyzer._lp is None  # no LP was ever assembled
@@ -338,55 +324,116 @@ class TestCriticalLatencies:
 class TestSharedArtifacts:
     def test_envelope_cached_by_one_engine_serves_the_other(self, tmp_path):
         graph = build_random_dag(17)
-        cold = LatencyAnalyzer(
-            graph, PARAMS, envelope_engine="lp", cache_dir=str(tmp_path)
+        oracle = lp_envelope(graph, PARAMS, l_min=PARAMS.L, l_max=50.0)
+        ArtifactStore(tmp_path).put(
+            "envelope",
+            envelope_key(graph, PARAMS, l_min=PARAMS.L, l_max=50.0),
+            oracle,
         )
-        cold_sweep = cold.batched_sweep(l_max=50.0)
-        assert cold.store.misses["envelope"] == 1
-        assert cold_sweep.num_solves > 0
 
-        warm = LatencyAnalyzer(
-            graph, PARAMS, envelope_engine="forward", cache_dir=str(tmp_path)
-        )
+        warm = LatencyAnalyzer(graph, PARAMS, cache_dir=str(tmp_path))
         warm_sweep = warm.batched_sweep(l_max=50.0)
-        assert warm.store.hits["envelope"] == 1
-        assert warm_sweep.num_solves == 0  # answered from disk, no engine ran
-        xs = np.linspace(PARAMS.L, 50.0, 31)
-        np.testing.assert_array_equal(
-            warm_sweep.values(xs), cold_sweep.values(xs)
-        )
+        assert warm.store.hits["envelope"] == 1  # the oracle's entry
+        assert warm_sweep.num_solves == 0
+        cold_sweep = LatencyAnalyzer(graph, PARAMS).batched_sweep(l_max=50.0)
+        assert_envelopes_identical(warm_sweep.envelope, cold_sweep.envelope)
 
     def test_batched_sweep_graphs_engines_agree_serial_and_parallel(self):
         graphs = [build_random_dag(s) for s in (1, 2)]
-        by_engine = {
-            engine: batched_sweep_graphs(
-                graphs, PARAMS, l_max=80.0, envelope_engine=engine
-            )
-            for engine in ("forward", "lp")
-        }
-        for fw, ref in zip(by_engine["forward"], by_engine["lp"]):
-            assert_envelopes_identical(fw, ref)
-        parallel = batched_sweep_graphs(
-            graphs, PARAMS, l_max=80.0, processes=2, envelope_engine="forward"
-        )
-        for fw, ref in zip(parallel, by_engine["lp"]):
-            assert_envelopes_identical(fw, ref)
+        serial = batched_sweep_graphs(graphs, PARAMS, l_max=80.0)
+        parallel = batched_sweep_graphs(graphs, PARAMS, l_max=80.0, processes=2)
+        for graph, fw, par in zip(graphs, serial, parallel):
+            reference = lp_envelope(graph, PARAMS, l_max=80.0)
+            assert_envelopes_identical(fw, reference)
+            assert_envelopes_identical(par, reference)
 
     def test_store_key_is_engine_free(self, tmp_path):
         store = ArtifactStore(tmp_path)
         graph = build_random_dag(19)
         serial = batched_sweep_graphs(
-            [graph], PARAMS, l_max=40.0, cache_dir=tmp_path,
-            envelope_engine="forward",
+            [graph], PARAMS, l_min=PARAMS.L, l_max=40.0, cache_dir=tmp_path
         )
         assert store.stats()["kinds"]["envelope"]["entries"] == 1
-        again = batched_sweep_graphs(
-            [graph], PARAMS, l_max=40.0, cache_dir=tmp_path,
-            envelope_engine="lp",
-        )
-        # still one entry: the LP run hit the forward run's artifact
+        analyzer = LatencyAnalyzer(graph, PARAMS, cache_dir=tmp_path)
+        again = analyzer.batched_sweep(l_max=40.0).envelope
+        # still one entry: the analyzer hit the graph sweep's artifact
+        assert analyzer.store.hits["envelope"] == 1
         assert store.stats()["kinds"]["envelope"]["entries"] == 1
-        assert_envelopes_identical(again[0], serial[0])
+        assert_envelopes_identical(again, serial[0])
+        assert_envelopes_identical(
+            again, lp_envelope(graph, PARAMS, l_min=PARAMS.L, l_max=40.0)
+        )
+
+
+# ---------------------------------------------------------------------------
+# the analyzer's metrics against the GraphLP oracles
+# ---------------------------------------------------------------------------
+
+DEGRADATIONS = (0.01, 0.05, 0.5)
+
+
+def assert_analyzer_matches_lp(graph, params, *, max_segments=8):
+    """Every analyzer metric equals its ``GraphLP`` oracle to rel 1e-9.
+
+    Latencies are sampled at segment mid-points of ``T(L)`` on ``[L0, ∞)``
+    (and past the last breakpoint), never on a breakpoint, where the LP's
+    reduced cost could legitimately be either neighbouring slope.
+    """
+    approx = dict(rel=1e-9, abs=1e-9)
+    analyzer = LatencyAnalyzer(graph, params)
+    lp = build_lp(graph, params)
+    L0 = params.L
+    bounds = [L0, *analyzer.parametric(L0, np.inf).critical_latencies()]
+    bounds.append(bounds[-1] + max(1.0, bounds[-1] - L0))
+    Ls = [0.5 * (a + b) for a, b in zip(bounds, bounds[1:])][:max_segments]
+    deltas = [L - L0 for L in Ls]
+
+    curve = analyzer.sensitivity_curve(deltas)
+    for i, (L, delta) in enumerate(zip(Ls, deltas)):
+        solution = lp.solve_runtime(L=L)
+        T, lam = solution.objective, lp.latency_sensitivity(solution)
+        assert analyzer.predict_runtime(delta) == pytest.approx(T, **approx)
+        assert analyzer.latency_sensitivity(delta) == pytest.approx(lam, **approx)
+        assert analyzer.l_ratio(delta) == pytest.approx(L * lam / T, **approx)
+        assert curve.runtime[i] == pytest.approx(T, **approx)
+        assert curve.latency_sensitivity[i] == pytest.approx(lam, **approx)
+        assert curve.l_ratio[i] == pytest.approx(L * lam / T, **approx)
+
+    T0 = lp.solve_runtime(L=L0).objective
+    report = analyzer.tolerance_report(DEGRADATIONS)
+    assert report.baseline_runtime == pytest.approx(T0, **approx)
+    for degradation in DEGRADATIONS:
+        if lp.num_messages == 0:
+            assert report.tolerance(degradation) == np.inf
+            continue
+        lp.set_latency_bound(L0)
+        oracle = lp.solve_max_latency((1.0 + degradation) * T0).objective
+        assert report.tolerance(degradation) == pytest.approx(oracle, **approx)
+        assert analyzer.latency_tolerance(degradation) == report.tolerance(degradation)
+
+
+class TestAnalyzerParity:
+    def test_running_example(self):
+        assert_analyzer_matches_lp(build_running_example(), PARAMS)
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_staircases(self, k):
+        assert_analyzer_matches_lp(build_staircase(k), ZERO_OVERHEAD)
+
+    @pytest.mark.parametrize("app,nranks", [("icon", 4), ("lulesh", 8)])
+    def test_apps(self, app, nranks):
+        from repro.apps import ALL_APPS
+        from repro.network.params import CSCS_TESTBED
+
+        graph = ALL_APPS[app].build(nranks, CSCS_TESTBED)
+        assert_analyzer_matches_lp(graph, CSCS_TESTBED, max_segments=4)
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph=program_graphs(), params=affine_params())
+def test_analyzer_equals_lp_property(graph, params):
+    """Hypothesis: analyzer metrics == GraphLP oracles on random DAGs/programs."""
+    assert_analyzer_matches_lp(graph, params, max_segments=4)
 
 
 # ---------------------------------------------------------------------------
@@ -399,38 +446,26 @@ class TestFleetAndCli:
         from repro.network.params import CSCS_TESTBED
         from repro.parallel import ScenarioFleet
 
-        def rows(engine):
-            fleet = ScenarioFleet(
-                apps=["lulesh"],
-                nranks=[2],
-                allreduces=["ring"],
-                params_grid=[CSCS_TESTBED],
-                injectors=[None, "sender_delay"],
-                l_max=50.0,
-                sim_deltas=(0.0, 5.0),
-                processes=1,
-                envelope_engine=engine,
+        fleet = ScenarioFleet(
+            apps=["lulesh"],
+            nranks=[2],
+            allreduces=["ring"],
+            params_grid=[CSCS_TESTBED],
+            injectors=[None, "sender_delay"],
+            l_max=50.0,
+            sim_deltas=(0.0, 5.0),
+            processes=1,
+        )
+        rows = fleet.run().rows
+        graph = next(iter(fleet._build_graphs(fleet.scenarios())[0].values()))
+        lp = build_lp(graph, CSCS_TESTBED)
+        solution = lp.solve_runtime(L=CSCS_TESTBED.L)
+        assert len(rows) == 2
+        for row in rows:
+            assert row["runtime_us"] == pytest.approx(solution.objective, rel=1e-9)
+            assert row["lambda_L"] == pytest.approx(
+                lp.latency_sensitivity(solution), abs=1e-9
             )
-            return fleet.run().rows
-
-        default, forward = rows("auto"), rows("forward")
-        assert len(default) == len(forward) == 2
-        for a, b in zip(default, forward):
-            assert a["runtime_us"] == pytest.approx(b["runtime_us"], abs=1e-6)
-            assert a["lambda_L"] == pytest.approx(b["lambda_L"], abs=1e-9)
-            # injector simulation rides along unchanged: injectors perturb
-            # the simulator, never the envelope
-            assert a.get("sim_runtime_us") == b.get("sim_runtime_us")
-
-    def test_cli_exposes_envelope_engine_flag(self, capsys):
-        from repro.cli import main
-
-        assert main(["--envelope-engine", "forward", "analyze",
-                     "lulesh", "--nranks", "2", "--json"]) == 0
-        forward_out = capsys.readouterr().out
-        assert main(["--envelope-engine", "lp", "analyze",
-                     "lulesh", "--nranks", "2", "--json"]) == 0
-        lp_out = capsys.readouterr().out
-        assert forward_out == lp_out
-        with pytest.raises(SystemExit):
-            main(["--envelope-engine", "bogus", "analyze", "lulesh"])
+        # injector simulation rides along: injectors perturb the simulator,
+        # never the envelope
+        assert [row.get("sim_runtime_us") is None for row in rows] == [True, False]

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from repro.core import find_critical_latencies, forward_envelope
+from repro.analysis.validation import run_validation_sweep
+from repro.cli import main as cli_main
+from repro.core import LatencyAnalyzer, find_critical_latencies, forward_envelope
 from repro.network.params import LogGPSParams
 from repro.simulator import simulate, simulate_sweep
 from repro.testing import build_running_example
@@ -15,6 +17,10 @@ NAN, INF = math.nan, math.inf
 
 def _graph():
     return build_running_example()
+
+
+def _analyzer():
+    return LatencyAnalyzer(_graph(), PARAMS)
 
 
 CASES = {
@@ -42,6 +48,41 @@ CASES = {
         lambda: find_critical_latencies(_graph(), 0.0, NAN, params=PARAMS),
         r"require 0 <= l_min < l_max",
     ),
+    "predict_runtime_delta_L_nan": (
+        lambda: _analyzer().predict_runtime(NAN),
+        "argument 'delta_L' to predict_runtime: must be finite and non-negative",
+    ),
+    "predict_runtime_delta_L_inf": (
+        lambda: _analyzer().predict_runtime(INF),
+        "argument 'delta_L' to predict_runtime",
+    ),
+    "latency_sensitivity_delta_L_negative": (
+        lambda: _analyzer().latency_sensitivity(-5.0),
+        "argument 'delta_L' to latency_sensitivity",
+    ),
+    "l_ratio_delta_L_negative": (
+        lambda: _analyzer().l_ratio(-5.0), "argument 'delta_L' to l_ratio"
+    ),
+    "latency_tolerance_degradation_nan": (
+        lambda: _analyzer().latency_tolerance(NAN),
+        "argument 'degradation' to latency_tolerance",
+    ),
+    "parametric_tolerance_degradation_negative": (
+        lambda: _analyzer().parametric().latency_tolerance(-0.01),
+        "argument 'degradation' to latency_tolerance",
+    ),
+    "tolerance_report_degradation_inf": (
+        lambda: _analyzer().tolerance_report([0.01, INF]),
+        "argument 'degradation' to latency_tolerance",
+    ),
+    "sensitivity_curve_delta_Ls_nan": (
+        lambda: _analyzer().sensitivity_curve([0.0, NAN]),
+        "argument 'delta_Ls' to sensitivity_curve",
+    ),
+    "run_validation_sweep_delta_Ls_nan": (
+        lambda: run_validation_sweep(_graph(), PARAMS, delta_Ls=[NAN]),
+        "argument 'delta_Ls' to run_validation_sweep",
+    ),
 }
 
 
@@ -56,3 +97,27 @@ def test_infinite_upper_latency_still_accepted():
     unbounded = forward_envelope(_graph(), PARAMS, l_max=INF)
     bounded = forward_envelope(_graph(), PARAMS, l_max=10.0)
     assert unbounded.value(0.5) == bounded.value(0.5)
+
+
+CLI_CASES = {
+    "nranks_zero": (["analyze", "icon", "--nranks", "0"], "--nranks"),
+    "nranks_not_int": (["analyze", "icon", "--nranks", "four"], "--nranks"),
+    "points_zero": (["curve", "icon", "--nranks", "4", "--points", "0"], "--points"),
+    "l_max_inf": (["curve", "icon", "--nranks", "4", "--l-max", "inf", "--json"], "--l-max"),
+    "max_delta_nan": (["sweep", "icon", "--nranks", "4", "--max-delta", "nan"], "--max-delta"),
+    "sweep_points_negative": (["sweep", "icon", "--points", "-2"], "--points"),
+    "latency_negative": (["--latency", "-1", "analyze", "icon"], "--latency"),
+    "overhead_nan": (["--overhead", "nan", "analyze", "icon"], "--overhead"),
+    "gap_inf": (["--gap", "inf", "analyze", "icon"], "--gap"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_rejects_bad_argument(case, capsys):
+    argv, flag = CLI_CASES[case]
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: " in captured.err
+    assert captured.out == ""

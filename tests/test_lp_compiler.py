@@ -10,7 +10,7 @@ the tangent-envelope search, placement) runs unchanged on compiled models.
 import numpy as np
 import pytest
 
-from repro.core import build_lp, find_critical_latencies
+from repro.core import build_lp
 from repro.core.parametric import BatchedSweep
 from repro.lp.assembler import assemble
 from repro.lp.model import LPModel
@@ -130,17 +130,6 @@ class TestCompiledModelProtocol:
         envelope = compiled.tangent_envelope(0.0, 10.0, backend="highs")
         breakpoints = sorted(round(bp, 6) for bp in envelope.breakpoints)
         assert breakpoints == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0], abs=1e-6)
-
-    def test_find_critical_latencies_engine_knob(self):
-        graph = build_staircase(5)
-        params = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.0)
-        for engine in ("symbolic", "compiled"):
-            latencies = find_critical_latencies(
-                graph, 0.0, 10.0, params=params, engine=engine
-            )
-            assert latencies == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-6)
-        with pytest.raises(ValueError):
-            find_critical_latencies(graph, 0.0, 10.0)  # graph without params
 
     def test_batched_sweep_zero_reassemblies(self):
         graph = build_random_dag(3, nranks=4, rounds=10)

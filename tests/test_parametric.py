@@ -1,5 +1,7 @@
 """Tests for the exact parametric critical-path engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,12 @@ class TestPiecewiseLinear:
         assert pw.solve_for_value(100.0) == pytest.approx(10.0)  # clamped to hi
         with pytest.raises(ValueError):
             pw.solve_for_value(1.0)  # below the runtime at lo
+
+    def test_solve_for_value_on_unbounded_interval(self):
+        flat = PiecewiseLinear(lines=[Line(0.0, 5.0)], lo=1.0, hi=math.inf)
+        assert flat.solve_for_value(5.0) == math.inf
+        rising = PiecewiseLinear(lines=[Line(0.0, 5.0), Line(2.0, 1.0)], lo=0.0, hi=math.inf)
+        assert rising.solve_for_value(9.0) == pytest.approx(4.0)
 
     def test_sample_vectorised(self):
         pw = self.make_pw()

@@ -282,12 +282,11 @@ class TestCriticalLatencyParity:
 
     def test_max_solves_exceeded_raises(self):
         # max_solves guards the LP tangent search; the forward engine never
-        # solves, so pin it to the LP engine explicitly
-        lp = build_lp(build_staircase(6), ZERO_OVERHEAD)
+        # solves, so move the gap bound: only the search can answer that LP
+        lp = build_lp(build_staircase(6), ZERO_OVERHEAD, gap_mode="global")
+        lp.set_gap_bound(ZERO_OVERHEAD.G + 1.0)
         with pytest.raises(RuntimeError, match="exceeded 3 LP solves"):
-            find_critical_latencies(
-                lp, 0.0, 8.0, max_solves=3, envelope_engine="lp"
-            )
+            find_critical_latencies(lp, 0.0, 8.0, max_solves=3)
 
     def test_per_pair_mode_rejected(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params, latency_mode="per_pair")
