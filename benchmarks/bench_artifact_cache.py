@@ -2,9 +2,9 @@
 
 A repeated ``T(L)`` sweep answered from the content-addressed
 :class:`~repro.artifacts.ArtifactStore` must be at least 10× faster than the
-cold path (one forward-envelope traversal of the graph's level structure,
-no LP): the store hit deserialises one small npz and wraps it in
-:meth:`BatchedSweep.from_envelope`, skipping the traversal.  Neither path
+cold path (the forward envelope's tangent search, one level pass over the
+graph per search round, no LP): the store hit deserialises one small npz
+and wraps it in :meth:`BatchedSweep.from_envelope`, skipping the passes.  Neither path
 assembles or solves an LP.  This is the persist-once/serve-many shape the service layer of
 ROADMAP item 1 builds on — overlapping (app × network) requests mostly hit
 the store.

@@ -1,16 +1,20 @@
 """Forward envelope engine vs the ParametricLP tangent search (acceptance).
 
-The single-traversal forward engine must produce the *identical*
-``PiecewiseLinear`` envelope ``T(L)`` as the LP tangent search — same piece
-count, slopes, intercepts and breakpoints to 1e-6 — at least 10× faster
-end-to-end on a Fig. 16-scale sweep workload.  "End-to-end" counts what each
-engine actually needs: the LP path pays ``build_lp`` + the per-tangent HiGHS
-solves, the forward path traverses the cached level structure once and never
-assembles a model.
+The forward engine must produce the *identical* ``PiecewiseLinear``
+envelope ``T(L)`` as the LP tangent search — same piece count, slopes,
+intercepts and breakpoints to 1e-6 — at least 10× faster end-to-end on a
+Fig. 16-scale sweep workload.  "End-to-end" counts what each engine actually
+needs: the LP path pays ``build_lp`` + one HiGHS solve per probe, the
+forward path runs the same tangent search with one level pass over the
+cached level plan per search round (all of a round's probes side by side)
+and never assembles a model.
 
 The Fig. 4 running example is reported for parity (its graph is far too
 small for the traversal win to show); the headline speedup is pinned on the
-largest LULESH workload.
+largest LULESH workload.  The worst case for the forward engine — a graph
+whose curve has many pieces, so the search runs many rounds — is pinned on
+``build_staircase(100)`` (90 pieces on ``[0, 1e4]``), where both engines pay
+per piece.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from repro import CSCS_TESTBED
 from repro.core import BatchedSweep, build_lp, forward_envelope
 from repro.network.params import LogGPSParams
-from repro.testing import build_running_example
+from repro.testing import build_running_example, build_staircase
 
 from _bench_utils import emit_json, print_header, print_rows
 
@@ -33,6 +37,11 @@ PAPER_PARAMS = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.005, S=256 * 1024, P=2)
 HEADLINE_RANKS = 343
 HEADLINE_ITERATIONS = 10
 SPEEDUP_FLOOR = 10.0
+#: the many-piece worst case: ``build_staircase(STAIRCASE_K)`` on
+#: ``[0, STAIRCASE_L_MAX]`` (~290× measured on a 2-core x86 host)
+STAIRCASE_K = 100
+STAIRCASE_L_MAX = 1e4
+STAIRCASE_SPEEDUP_FLOOR = 10.0
 
 
 def _compare(graph, params, l_min: float, l_max: float):
@@ -85,6 +94,9 @@ def _run():
         results[f"LULESH ({nranks} ranks, {HEADLINE_ITERATIONS} iters)"] = _compare(
             graph, CSCS_TESTBED, CSCS_TESTBED.L, 400.0
         )
+    results[f"staircase (k={STAIRCASE_K})"] = _compare(
+        build_staircase(STAIRCASE_K), CSCS_TESTBED, 0.0, STAIRCASE_L_MAX
+    )
     results["speedup"] = results[
         f"LULESH ({HEADLINE_RANKS} ranks, {HEADLINE_ITERATIONS} iters)"
     ]["speedup"]
@@ -123,4 +135,10 @@ def test_forward_envelope_speedup(run_once):
     assert headline["speedup"] >= SPEEDUP_FLOOR, (
         f"forward engine only {headline['speedup']:.1f}x faster than the "
         f"LP tangent search (floor {SPEEDUP_FLOOR}x)"
+    )
+    staircase = results[f"staircase (k={STAIRCASE_K})"]
+    assert staircase["speedup"] >= STAIRCASE_SPEEDUP_FLOOR, (
+        f"forward engine only {staircase['speedup']:.1f}x faster than the "
+        f"LP tangent search on the {staircase['pieces']}-piece staircase "
+        f"(floor {STAIRCASE_SPEEDUP_FLOOR}x)"
     )

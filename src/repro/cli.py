@@ -341,8 +341,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         }, indent=2))
         return 0
     print(f"application        : {args.app} ({args.nranks} ranks, {graph.num_events} events)")
-    print(f"LP solves          : {sweep.num_solves} for {args.points} curve points "
-          f"({len(breakpoints)} critical latencies)")
+    print(f"envelope pieces    : {len(sweep.envelope.lines)} for {args.points} "
+          f"curve points ({len(breakpoints)} critical latencies)")
     print(f"{'L [µs]':>12s} {'T [s]':>12s} {'λ_L':>10s}")
     for L, T, lam in zip(Ls, values, slopes):
         print(f"{L:12.2f} {T / 1e6:12.4f} {lam:10.1f}")

@@ -4,8 +4,8 @@
 and exposes every metric the paper derives from the generated LP.  The
 latency metrics are all readings of one convex piecewise-linear function,
 ``T(L) = max_i(a_i·L + C_i)`` (Eq. 3): the analyzer computes that envelope
-once on ``[L₀, ∞)`` with :func:`~repro.core.envelope.forward_envelope` — one
-graph traversal, no LP — and answers from it:
+once on ``[L₀, ∞)`` with :func:`~repro.core.envelope.forward_envelope` — a
+few level passes over the graph, no LP — and answers from it:
 
 * predicted runtime ``T`` for any added latency ΔL (Section II-C) — its value;
 * network latency sensitivity ``λ_L`` (Section II-D1) — its slope, equal to

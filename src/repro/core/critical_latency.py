@@ -8,8 +8,9 @@ solving the LP and jumping to the lower end of the current basis's
 feasibility range (Gurobi's ``SALBLow``).
 
 Here the breakpoints are read off the exact ``T(L)`` envelope instead.  A raw
-execution graph plus ``params`` always goes through the single-traversal
-:func:`~repro.core.envelope.forward_envelope` (zero LP solves).  A prebuilt
+execution graph plus ``params`` always goes through
+:func:`~repro.core.envelope.forward_envelope` (the same tangent search with
+level passes as probes, zero LP solves).  A prebuilt
 :class:`GraphLP` does too whenever it satisfies the affinity contract of
 ``src/repro/lp/README.md``; otherwise the breakpoints come from the tangent
 search of :class:`repro.lp.parametric.ParametricLP` — ``O(#breakpoints)``

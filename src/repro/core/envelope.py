@@ -1,61 +1,81 @@
-"""Single-traversal exact ``T(L)`` envelopes: convex line-set propagation.
+"""Exact ``T(L)`` envelopes: a tangent search over LP-semantics level passes.
 
 Every edge cost of the LogGPS LP is *affine in the latency* ``L`` — a
 communication edge costs ``l + (size-1)·G`` and everything else is a
 constant — so the makespan ``T(L)`` is the upper envelope of per-path lines
-``a_i·L + C_i`` (``a_i`` = number of messages on path ``i``).  The tangent
-search of :class:`~repro.lp.parametric.ParametricLP` recovers that envelope
-with one LP solve per breakpoint; this module computes the *same* curve in a
-single vectorised traversal of the chain-condensed level structure, with no
-LP assembly and no solver at all.
+``a_i·L + C_i`` (``a_i`` = number of messages on path ``i``): convex and
+piecewise linear.  :func:`forward_envelope` recovers that curve with the
+paper's Algorithm 2, probing tangents and refining where two tangents
+cross, but a probe is a max-plus pass over the graph instead of an LP solve:
 
-The pass mirrors the condensation of :mod:`repro.lp.compiler` exactly:
+* **The probe.**  One pass over the simulator's cached level plan
+  (:func:`~repro.simulator.columnar.get_level_plan`) with LP semantics —
+  no NIC gap, every parameter but ``L`` folded from ``params`` — evaluates
+  a batch of latencies at once, one latency per row of a 2-D pass.  Each
+  row carries, per vertex, the ``(slope, const)`` of a maximal path, both
+  accumulated along the path.  Paths are compared lexicographically by
+  ``(value, slope, const)`` at a finite ``L``, so a probe on a kink returns
+  the steeper adjacent piece, and by ``(slope, const)`` at ``L = ∞``, so
+  ``[L₀, ∞)`` is exact with no large-``L`` guess.
+* **The search.**  Round 1 probes ``lo`` and ``hi`` in one pass; every
+  later round probes the crossing of every open tangent pair in one pass.
+  A pair closes when its tangents coincide, when the crossing falls on one
+  of its ends, or when the probe at the crossing lies on both tangents
+  (the crossing is then a breakpoint).  These tests are
+  :meth:`~repro.lp.parametric.ParametricLP.tangent_envelope`'s own
+  (``_close`` with ``_ABS_TOL``/``_REL_TOL``), so the pieces and
+  breakpoints are structurally identical to the LP oracle's, not only
+  pointwise equal: zero-width pieces the oracle cannot see are not found.
 
-1. per-vertex cost deltas (CALC durations, the constant overhead ``o`` and
-   the per-message ``G`` byte cost folded in) are accumulated from every
-   vertex back to its *anchor* — the nearest source or merge point — with
-   the compiler's own :func:`~repro.lp.compiler._pointer_jump`;
-2. convex hulls of ``(slope, intercept)`` lines are maintained **only at
-   merge points** (an affine shift preserves the hull property along a
-   chain, so chain vertices never materialise one).  Hulls live in one
-   pooled array pair indexed by ``(start, len)`` per anchor; slot 0 holds
-   the shared ``(0, 0)`` line of every source anchor;
-3. merge points are processed level-synchronously (the same level grouping
-   the simulator batches on): all rows of one level concatenate their
-   predecessor hulls plus per-edge affine shifts into one segmented array
-   and a single vectorised segmented upper-hull pass reduces them;
-4. the sink completions are merged the same way into the final
-   :class:`~repro.core.parametric.PiecewiseLinear` envelope.
+**Cost.**  One level pass per search round, with one row per open pair:
+``O(#pieces · (V + E))`` element work, the complexity class of the paper's
+Algorithm 2.  Application graphs have 1–6 pieces and take a few passes
+(one to four on the pipeline benchmark's graphs).  Graphs with many pieces
+pay for each one.  On the synthetic
+:func:`~repro.testing.build_staircase` graphs (``CSCS_TESTBED`` parameters,
+``[0, 1e4]``, one 2-core Xeon host), against the single-traversal hull
+propagation this engine replaced and the LP oracle
+(``BatchedSweep(lp).lp_envelope()``, default backend):
 
-Because hulls only keep lines that are maximal somewhere in ``[lo, hi]``,
-the per-vertex state stays at most ``#breakpoints + 1`` lines — the paper's
-own envelope bound — and dead hulls are compacted away once the last level
-referencing them has been processed, so the pass runs inside the same fixed
-memory budget as the streaming compile/simulate pipeline at million-rank
-scale.
+==========================  ======  =========  ==============  =========
+graph                       pieces  hull pass  tangent search  LP oracle
+==========================  ======  =========  ==============  =========
+``build_staircase(50)``         40     1.1 ms           11 ms      1.3 s
+``build_staircase(100)``        90     2.8 ms           45 ms       12 s
+``build_staircase(200)``       190     8.0 ms          244 ms      113 s
+==========================  ======  =========  ==============  =========
 
-The result is numerically identical (well below the 1e-6 contract) to the
-LP tangent envelope: at the LP optimum every symbolic variable other than
-``l`` sits at its lower bound (= the ``params`` value), so folding those
-bounds as constants reproduces the optimal objective for every ``L``.  The
-engine therefore requires the **affinity contract** documented in
-``src/repro/lp/README.md``: a global latency variable, no per-pair HLogGP
-variables, and gap/overhead bounds that still equal ``params``.  A raw graph
-plus ``params`` always satisfies it; a prebuilt LP that breaks it (see
-:func:`forward_incompatibility`) is answered by the
+On the application graphs it is the other way round: the hull pass spent
+~40 NumPy calls per merge level whatever the hull width, and the tangent
+search is 2–5× faster per graph, level plan included (e.g. MILC at 128
+ranks, 312k vertices, 2 pieces: 1.7 s → 0.36 s).
+
+The rows of one round are chunked so that a pass holds at most
+:data:`_PASS_ELEMENTS` per-vertex entries in each state array, which keeps
+the memory of a pass bounded at million-vertex scale.
+
+The result equals the LP tangent envelope: at the LP optimum every symbolic
+variable other than ``l`` sits at its lower bound (= the ``params`` value),
+so folding those bounds as constants reproduces the optimal objective for
+every ``L``.  The engine therefore requires the **affinity contract**
+documented in ``src/repro/lp/README.md``: a global latency variable, no
+per-pair HLogGP variables, and gap/overhead bounds that still equal
+``params``.  A raw graph plus ``params`` always satisfies it; a prebuilt LP
+that breaks it (see :func:`forward_incompatibility`) is answered by the
 :class:`~repro.lp.parametric.ParametricLP` tangent search instead, which
 also serves as the test oracle of this module.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import math
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from ..lp.parametric import EnvelopeOverflowError
+from ..lp.parametric import _ABS_TOL, EnvelopeOverflowError, _close
 from ..network.params import LogGPSParams
-from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
+from ..schedgen.graph import ExecutionGraph
 
 __all__ = [
     "check_nonnegative",
@@ -65,25 +85,9 @@ __all__ = [
     "forward_supports_modes",
 ]
 
-#: iterations of the simultaneous neighbour-elimination before the segmented
-#: hull falls back to the sequential per-segment stack scan.  Each pass
-#: removes every interior line strictly below its neighbours' crossing, so
-#: alternating-dominated inputs halve per pass; the cap only triggers on
-#: adversarial stack-shaped inputs.
-_MAX_HULL_PASSES = 50
-
-#: pool compaction threshold: dead hull lines are garbage-collected once the
-#: pool grows beyond this many entries *and* less than half of it is live.
-_COMPACT_MIN_POOL = 4096
-
-#: per-merge line sets at most this large skip the convex reduction inside
-#: the level loop (slope dedup alone bounds them); larger sets always get
-#: the full hull + domain clip, which keeps state linear at scale.
-_REDUCE_SKIP = 8
-
-#: below this vertex count the liveness/compaction bookkeeping costs more
-#: than the pool it could reclaim, so it is skipped entirely.
-_GC_MIN_VERTICES = 65_536
+#: per-vertex entries a probe pass may hold in each of its two state arrays
+#: (slope and const); a round with more rows than fit runs as several passes
+_PASS_ELEMENTS = 1 << 21
 
 
 def validate_interval(l_min: float, l_max: float) -> None:
@@ -192,239 +196,109 @@ def forward_supports_modes(build_kwargs: Mapping[str, object]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vectorised segmented upper hulls
+# the probe: one LP-semantics level pass, one row per latency
 # ---------------------------------------------------------------------------
 
 
-def _sequential_hulls(
-    seg: np.ndarray, slope: np.ndarray, intercept: np.ndarray,
-    lo: float, hi: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment stack-scan fallback (exact, Python loop per segment)."""
-    from .parametric import Line, _upper_envelope
+def _lex_max(slope, const, lw, cw, starts, seg):
+    """Per row and segment, the lexicographically largest ``(key, slope,
+    const)`` entry, with ``key = slope·lw + const·cw``.
 
-    out_seg: list[np.ndarray] = []
-    out_slope: list[float] = []
-    out_intercept: list[float] = []
-    bounds = np.concatenate(
-        [[0], np.flatnonzero(np.diff(seg)) + 1, [len(seg)]]
-    )
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        hull = _upper_envelope(
-            [Line(float(s), float(c)) for s, c in zip(slope[a:b], intercept[a:b])],
-            lo, hi,
-        )
-        out_seg.append(np.full(len(hull), seg[a], dtype=np.int64))
-        out_slope.extend(line.slope for line in hull)
-        out_intercept.extend(line.intercept for line in hull)
-    return (
-        np.concatenate(out_seg) if out_seg else seg,
-        np.asarray(out_slope, dtype=np.float64),
-        np.asarray(out_intercept, dtype=np.float64),
-    )
-
-
-def _drop_invisible_pieces(lines: list) -> list:
-    """Drop hull pieces the LP tangent search could never discover.
-
-    Many paths concurrent through (almost) one point produce exact hull
-    pieces of near-zero validity width.  The
-    :class:`~repro.lp.parametric.ParametricLP` search stops refining once a
-    midpoint probe lies on both neighbouring tangents within its ``_close``
-    tolerance, so such pieces never appear in the oracle's envelope.
-    Applying the same tolerance here keeps the two engines structurally
-    identical (same piece count and breakpoints), not just pointwise equal:
-    an interior line is dropped when its maximum improvement over its
-    neighbours — attained where the neighbours cross — is within the bound.
+    ``starts`` are the segment starts along axis 1 and ``seg`` the segment
+    of every column.  Returns the winners' ``(slope, const)``.
     """
-    from ..lp.parametric import _ABS_TOL, _REL_TOL
-
-    if len(lines) <= 2:
-        return lines
-    kept = [lines[0]]
-    for line in lines[1:]:
-        while len(kept) >= 2:
-            prev, top = kept[-2], kept[-1]
-            x = (line.intercept - prev.intercept) / (prev.slope - line.slope)
-            crossing = prev.slope * x + prev.intercept
-            improvement = top.slope * x + top.intercept - crossing
-            if improvement <= _ABS_TOL + _REL_TOL * max(abs(crossing), 1.0):
-                kept.pop()
-            else:
-                break
-        kept.append(line)
-    return kept
+    key = slope * lw
+    key += const * cw
+    top = np.maximum.reduceat(key, starts, axis=1)
+    slope = np.where(key == top.take(seg, axis=1), slope, -np.inf)
+    best_slope = np.maximum.reduceat(slope, starts, axis=1)
+    const = np.where(slope == best_slope.take(seg, axis=1), const, -np.inf)
+    return best_slope, np.maximum.reduceat(const, starts, axis=1)
 
 
-def _segmented_hulls(
-    seg: np.ndarray, slope: np.ndarray, intercept: np.ndarray,
-    lo: float, hi: float,
-    *,
-    reduce_over: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper hull of every segment at once, clipped to ``[lo, hi]``.
+def _probe(plan, e_const, e_seg, sinks, latencies):
+    """The maximal path of ``T`` at every latency, in one level pass.
 
-    ``seg`` need not be sorted.  Returns ``(seg, slope, intercept)`` sorted
-    by ``(seg, slope)`` with, per segment, exactly the lines of the convex
-    upper envelope that are maximal somewhere in ``[lo, hi]`` (plus, in rare
-    float-tie cases, lines touching the envelope at a single point — the
-    callers' final :func:`~repro.core.parametric._upper_envelope` cleanup
-    removes those from the returned curve).
-
-    When ``reduce_over`` is positive and no segment holds more than that
-    many lines after the slope dedup, the convex reduction and domain clip
-    are skipped: keeping slope-deduplicated but not-yet-convex line sets is
-    sound (the pointwise maximum is unchanged — that is all downstream
-    levels consume), and for the small hulls that dominate real sweeps the
-    dedup alone already bounds the set, so the extra passes are pure
-    overhead.  Large segments always get the full reduction, which is what
-    keeps the pooled state linear at million-rank scale.
-
-    The reduction is a simultaneous neighbour elimination: a line is dropped
-    when it lies *strictly* below the crossing of its two same-segment
-    neighbours.  Strictness makes simultaneous removal safe — at any ``x``
-    the highest removed line is strictly below one of its witnesses, and
-    that witness cannot itself be removed at ``x`` — so the pointwise
-    maximum is preserved by every pass.
+    Row ``r`` of the pass evaluates ``L = latencies[r]`` on the level plan
+    with LP semantics: a vertex ends ``plan.vcost`` after its latest
+    predecessor contribution, and a communication edge adds ``L`` plus its
+    folded byte cost ``e_const`` (``e_seg`` maps every edge to its
+    segment, i.e. its destination).  Per vertex a row carries the exact
+    ``(slope, const)`` of its maximal path, chosen by ``(value, slope,
+    const)`` at a finite ``L`` and by ``(slope, const)`` at ``L = inf``.
+    Returns the ``(slope, const)`` of the maximal path ending at one of the
+    ``sinks`` (level positions), one entry per row.
     """
-    if len(seg) == 0:
-        return seg, slope, intercept
-    order = np.lexsort((intercept, slope, seg))
-    seg, slope, intercept = seg[order], slope[order], intercept[order]
-    # slope-dedup: keep the largest intercept per (seg, slope) — the last of
-    # each group under the lexsort above
-    if len(seg) > 1:
-        keep = np.empty(len(seg), dtype=bool)
-        keep[-1] = True
-        keep[:-1] = (seg[1:] != seg[:-1]) | (slope[1:] != slope[:-1])
-        seg, slope, intercept = seg[keep], slope[keep], intercept[keep]
+    finite = np.isfinite(latencies)
+    # the primary key is the value slope·L + const at a finite L and the
+    # slope alone at L = inf
+    lw = np.where(finite, latencies, 1.0)[:, None]
+    cw = finite.astype(np.float64)[:, None]
+    n = len(plan.order)
+    slope = np.empty((len(latencies), n))
+    const = np.empty((len(latencies), n))
+    vptr, eptr, sptr = plan.vptr.tolist(), plan.eptr.tolist(), plan.sptr.tolist()
+    e_src, e_comm, vcost = plan.e_src_pos, plan.e_comm, plan.vcost
+    for k in range(len(vptr) - 1):
+        p0, p1 = vptr[k], vptr[k + 1]
+        e0, e1 = eptr[k], eptr[k + 1]
+        if e1 == e0:
+            # level 0: the sources, the only vertices without predecessors
+            slope[:, p0:p1] = 0.0
+            const[:, p0:p1] = vcost[p0:p1]
+            continue
+        src = e_src[e0:e1]
+        a = slope.take(src, axis=1)
+        a += e_comm[e0:e1]
+        c = const.take(src, axis=1)
+        c += e_const[e0:e1]
+        s0, s1 = sptr[k], sptr[k + 1]
+        if s1 - s0 < e1 - e0:
+            # some vertex of the level merges several in-edges
+            a, c = _lex_max(
+                a, c, lw, cw, plan.seg_starts[s0:s1] - e0, e_seg[e0:e1] - s0
+            )
+        slope[:, p0:p1] = a
+        c += vcost[p0:p1]
+        const[:, p0:p1] = c
+    best_slope, best_const = _lex_max(
+        slope.take(sinks, axis=1), const.take(sinks, axis=1), lw, cw,
+        np.zeros(1, dtype=np.int64), np.zeros(len(sinks), dtype=np.int64),
+    )
+    return best_slope[:, 0], best_const[:, 0]
 
-    if reduce_over > 0 and len(seg) <= reduce_over * max(
-        1, int(seg[-1]) - int(seg[0]) + 1
+
+class _Tangent(NamedTuple):
+    """One probe's answer: the line ``slope·x + const`` of the maximal path
+    at latency ``L``."""
+
+    L: float
+    slope: float
+    const: float
+
+    def at(self, x: float) -> float:
+        return self.slope * x + self.const
+
+
+def _crossing(t_lo: _Tangent, t_hi: _Tangent) -> float | None:
+    """Where to probe between two tangents, or ``None`` once the pair is
+    closed (one line, or a breakpoint at one of its ends).
+
+    The tests are :meth:`~repro.lp.parametric.ParametricLP.tangent_envelope`'s;
+    a tangent at ``L = inf`` coincides with another when their slopes do.
+    """
+    finite = math.isfinite(t_hi.L)
+    if _close(t_lo.slope, t_hi.slope) and (
+        not finite or _close(t_lo.at(t_hi.L), t_hi.at(t_hi.L))
     ):
-        # cheap upper bound first: if even `#segments * reduce_over` lines
-        # are not present, no segment can exceed the threshold
-        return seg, slope, intercept
-    if reduce_over > 0:
-        lens = np.bincount(seg - seg[0])
-        if int(lens.max(initial=0)) <= reduce_over:
-            return seg, slope, intercept
-
-    passes = 0
-    while len(seg) >= 3:
-        interior = (seg[1:-1] == seg[:-2]) & (seg[1:-1] == seg[2:])
-        if not interior.any():
-            break
-        denom = slope[2:] - slope[:-2]  # > 0 wherever `interior` holds
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = (intercept[:-2] - intercept[2:]) / denom
-            below = interior & (
-                slope[1:-1] * x + intercept[1:-1]
-                < slope[:-2] * x + intercept[:-2]
-            )
-        if not below.any():
-            break
-        if passes >= _MAX_HULL_PASSES:
-            return _sequential_hulls(seg, slope, intercept, lo, hi)
-        keep = np.ones(len(seg), dtype=bool)
-        keep[1:-1] = ~below
-        seg, slope, intercept = seg[keep], slope[keep], intercept[keep]
-        passes += 1
-
-    # domain clip: drop pieces whose validity interval misses [lo, hi]; the
-    # piece containing `lo` always survives, so no segment empties out
-    n = len(seg)
-    if n > 1:
-        same_prev = np.zeros(n, dtype=bool)
-        same_prev[1:] = seg[1:] == seg[:-1]
-        x_prev = np.full(n, -np.inf)
-        idx = np.flatnonzero(same_prev)
-        x_prev[idx] = (intercept[idx - 1] - intercept[idx]) / (
-            slope[idx] - slope[idx - 1]
-        )
-        x_next = np.full(n, np.inf)
-        x_next[idx - 1] = x_prev[idx]
-        keep = (x_prev <= hi + 1e-15) & (x_next >= lo - 1e-15)
-        seg, slope, intercept = seg[keep], slope[keep], intercept[keep]
-    return seg, slope, intercept
-
-
-# ---------------------------------------------------------------------------
-# the forward pass
-# ---------------------------------------------------------------------------
-
-
-class _HullPool:
-    """Pooled hull storage: ``(slope, intercept)`` runs addressed per anchor.
-
-    Slot 0 is the shared ``(0, 0)`` line every source anchor points at, so
-    sources cost no storage at all.  ``compact`` garbage-collects hulls of
-    merge anchors whose last referencing level has passed.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.start = np.zeros(n, dtype=np.int64)
-        self.length = np.ones(n, dtype=np.int64)
-        self.slope = np.zeros(256, dtype=np.float64)
-        self.intercept = np.zeros(256, dtype=np.float64)
-        self.used = 1
-        self.live = 1
-
-    def gather(self, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expand the hull runs of ``anchors``: returns ``(rep, idx, lens)``
-        with ``rep`` mapping every expanded line back to its anchor position."""
-        lens = self.length[anchors]
-        total = int(lens.sum())
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lens) - lens, lens
-        )
-        idx = np.repeat(self.start[anchors], lens) + offsets
-        rep = np.repeat(np.arange(len(anchors), dtype=np.int64), lens)
-        return rep, idx, lens
-
-    def append(self, vertices: np.ndarray, lens: np.ndarray,
-               slope: np.ndarray, intercept: np.ndarray) -> None:
-        need = self.used + len(slope)
-        if need > len(self.slope):
-            capacity = max(need, 2 * len(self.slope))
-            self.slope = np.concatenate(
-                [self.slope, np.empty(capacity - len(self.slope))]
-            )
-            self.intercept = np.concatenate(
-                [self.intercept, np.empty(capacity - len(self.intercept))]
-            )
-        self.slope[self.used:need] = slope
-        self.intercept[self.used:need] = intercept
-        self.start[vertices] = self.used + np.concatenate(
-            [[0], np.cumsum(lens[:-1])]
-        )
-        self.length[vertices] = lens
-        self.used = need
-        self.live += int(lens.sum())
-
-    def retire(self, vertices: np.ndarray) -> None:
-        """Mark the hulls of ``vertices`` dead (storage reclaimed on compact)."""
-        if len(vertices):
-            self.live -= int(self.length[vertices].sum())
-
-    def compact(self, alive: np.ndarray) -> None:
-        """Rewrite the pool to hold only slot 0 plus the hulls of ``alive``."""
-        if self.used <= _COMPACT_MIN_POOL or 2 * self.live >= self.used:
-            return
-        rep, idx, lens = self.gather(alive)
-        total = int(lens.sum())
-        capacity = max(256, 2 * (total + 1))
-        slope = np.empty(capacity)
-        intercept = np.empty(capacity)
-        slope[0] = 0.0
-        intercept[0] = 0.0
-        slope[1:total + 1] = self.slope[idx]
-        intercept[1:total + 1] = self.intercept[idx]
-        self.start[alive] = 1 + np.concatenate([[0], np.cumsum(lens[:-1])])
-        self.slope = slope
-        self.intercept = intercept
-        self.used = total + 1
-        self.live = total + 1
+        return None
+    if abs(t_hi.slope - t_lo.slope) <= _ABS_TOL:
+        return None
+    x = (t_lo.const - t_hi.const) / (t_hi.slope - t_lo.slope)
+    x = min(max(x, t_lo.L), t_hi.L)
+    if _close(x, t_lo.L) or (finite and _close(x, t_hi.L)):
+        return None
+    return x
 
 
 def forward_envelope(
@@ -435,18 +309,18 @@ def forward_envelope(
     l_max: float = 10_000.0,
     max_pieces: int = 50_000,
 ):
-    """The exact ``T(L)`` envelope of ``graph`` on ``[l_min, l_max]``,
-    computed in one level-synchronous traversal (no LP, no solver).
+    """The exact ``T(L)`` envelope of ``graph`` on ``[l_min, l_max]``, by a
+    tangent search whose probes are batched level passes (no LP, no solver).
 
     All LogGPS parameters other than the latency are folded from ``params``
     as constants, exactly as the LP bakes them into its constraint constants
-    (and as the optimum pins every symbolic bound).  Numerically identical
-    to ``BatchedSweep(build_lp(graph, params), ...).envelope`` whenever the
-    affinity contract holds — see this module's docstring and
-    ``src/repro/lp/README.md``.
+    (and as the optimum pins every symbolic bound).  Structurally identical
+    to ``BatchedSweep(build_lp(graph, params), ...).lp_envelope()`` whenever
+    the affinity contract holds — see this module's docstring and
+    ``src/repro/lp/README.md``.  ``l_max`` may be ``inf``.
 
-    ``max_pieces`` bounds the hull size at every vertex *and* of the final
-    envelope; overflow raises :class:`EnvelopeOverflowError` like the other
+    ``max_pieces`` bounds the number of distinct slopes the search may find;
+    overflow raises :class:`EnvelopeOverflowError` like the other
     parametric engines.
     """
     validate_interval(l_min, l_max)
@@ -454,154 +328,48 @@ def forward_envelope(
         raise ValueError(f"max_pieces must be positive, got {max_pieces}")
     lo, hi = float(l_min), float(l_max)
 
-    from ..lp.compiler import _anchors, _pointer_jump
+    from ..simulator.columnar import get_level_plan
     from .parametric import Line, PiecewiseLinear, _upper_envelope
 
-    n = graph.num_vertices
-    m = graph.num_edges
-    cost = graph.cost
-    size = graph.size
-    edge_src = graph.edge_src
-    edge_dst = graph.edge_dst
+    plan = get_level_plan(graph, params)
+    e_const = np.where(plan.e_comm, plan.e_bw * params.G, 0.0)
+    e_seg = np.repeat(
+        np.arange(len(plan.seg_starts)),
+        np.diff(np.append(plan.seg_starts, len(e_const))),
+    )
+    sinks = graph.topo_positions()[graph.sinks()]
+    rows = max(1, _PASS_ELEMENTS // graph.num_vertices)
 
-    indeg = graph.in_degrees()
-    topo_pos = graph.topo_positions()
-    parent = graph.chain_parent()
-    chain_eid = graph.chain_in_edge()
-    is_comm_edge = np.asarray(graph.edge_kind) == int(EdgeKind.COMM)
-    if m:
-        bw_edge = size[edge_dst].astype(np.float64)
-        bw_edge -= 1.0
-        np.maximum(bw_edge, 0.0, out=bw_edge)
-    else:
-        bw_edge = np.zeros(0)
+    def probe(latencies: list[float]) -> list[_Tangent]:
+        tangents = []
+        for i in range(0, len(latencies), rows):
+            batch = np.asarray(latencies[i:i + rows], dtype=np.float64)
+            slope, const = _probe(plan, e_const, e_seg, sinks, batch)
+            tangents += map(_Tangent, batch.tolist(), slope.tolist(), const.tolist())
+        return tangents
 
-    # per-vertex deltas with everything but L folded constant, then chain
-    # compression back to each anchor — the compiler's own machinery
-    calc = np.asarray(graph.kind) == int(VertexKind.CALC)
-    d_const = np.where(calc, cost, params.o)
-    d_l = np.zeros(n, dtype=np.float64)
-    chain_vertices = np.flatnonzero(chain_eid >= 0)
-    chain_edges = chain_eid[chain_vertices]
-    comm_chain = is_comm_edge[chain_edges] if m else np.zeros(0, dtype=bool)
-    cv = chain_vertices[comm_chain]
-    cv_eid = chain_edges[comm_chain]
-    d_l[cv] = 1.0
-    d_const[cv] += params.G * bw_edge[cv_eid]
-
-    channels = [np.append(d_const, 0.0), np.append(d_l, 0.0)]
-    _pointer_jump(n, parent, channels, None)
-    anchor = _anchors(n, parent)
-    acc_const, acc_l = channels
-
-    # rows: one per (merge vertex, in-edge), exactly the compiled LP's layout
-    merges = graph.merge_points()
-    merges = merges[np.argsort(topo_pos[merges], kind="stable")]
-    level = graph.level_of()
-    mlevel = level[merges]  # non-decreasing: the order contract is level-major
-    counts = indeg[merges].astype(np.int64)
-    row_ptr = np.zeros(len(merges) + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    total = int(row_ptr[-1])
-    if total:
-        local = np.arange(total, dtype=np.int64) - np.repeat(row_ptr[:-1], counts)
-        merge_eids = graph._pred_edges[
-            np.repeat(graph._pred_indptr[merges], counts) + local
+    # Algorithm 2, breadth-first: every round probes the crossings of all
+    # open tangent pairs in one pass
+    tangents = probe([lo, hi])
+    pairs = [(tangents[0], tangents[1])]
+    while pairs:
+        if len({round(t.slope, 9) for t in tangents}) > max_pieces:
+            raise EnvelopeOverflowError(
+                f"latency sweep envelope has more than {max_pieces} pieces; "
+                "narrow the latency interval or raise max_pieces"
+            )
+        crossings = [
+            (pair, x) for pair in pairs if (x := _crossing(*pair)) is not None
         ]
-        row_u = edge_src[merge_eids]
-        e_comm = is_comm_edge[merge_eids]
-        row_slope = acc_l[row_u] + e_comm
-        row_const = acc_const[row_u] + params.G * np.where(
-            e_comm, bw_edge[merge_eids], 0.0
-        )
-        row_anchor = anchor[row_u]
-    else:
-        row_slope = row_const = np.zeros(0)
-        row_anchor = np.zeros(0, dtype=np.int64)
+        mids = probe([x for _, x in crossings])
+        pairs = []
+        for ((t_lo, t_hi), x), mid in zip(crossings, mids):
+            value = mid.at(x)
+            if _close(value, t_lo.at(x)) and _close(value, t_hi.at(x)):
+                # x is the breakpoint between the two tangents
+                continue
+            tangents.append(mid)
+            pairs += [(t_lo, mid), (mid, t_hi)]
 
-    sinks = np.asarray(graph.sinks(), dtype=np.int64)
-    sink_anchor = anchor[sinks]
-
-    # liveness: the last level whose rows reference each anchor's hull
-    infinity = np.int64(graph.num_levels + 1)
-    last_use = np.full(n, -1, dtype=np.int64)
-    if total:
-        np.maximum.at(last_use, row_anchor, np.repeat(mlevel, counts))
-    last_use[sink_anchor] = infinity
-
-    pool = _HullPool(n)
-    overflow_hint = "narrow the latency interval or raise max_pieces"
-
-    # liveness bookkeeping pays for itself only when the pool can outgrow the
-    # graph; small sweeps skip it and keep every hull until the end
-    gc = n >= _GC_MIN_VERTICES
-    if gc and len(merges):
-        death_order = np.argsort(last_use[merges], kind="stable")
-        death_levels = last_use[merges][death_order]
-        death_pos = 0
-        alive_mask = np.zeros(len(merges), dtype=bool)
-    reduce_over = min(_REDUCE_SKIP, max_pieces)
-
-    if len(merges):
-        bounds = np.concatenate(
-            [[0], np.flatnonzero(np.diff(mlevel)) + 1, [len(merges)]]
-        )
-        for g0, g1 in zip(bounds[:-1], bounds[1:]):
-            current_level = int(mlevel[g0])
-            r0, r1 = int(row_ptr[g0]), int(row_ptr[g1])
-            rep, idx, _ = pool.gather(row_anchor[r0:r1])
-            seg_of_row = (
-                np.repeat(np.arange(g0, g1, dtype=np.int64), counts[g0:g1]) - g0
-            )
-            line_seg = seg_of_row[rep]
-            line_slope = pool.slope[idx] + row_slope[r0:r1][rep]
-            line_intercept = pool.intercept[idx] + row_const[r0:r1][rep]
-            hseg, hslope, hintercept = _segmented_hulls(
-                line_seg, line_slope, line_intercept, lo, hi,
-                reduce_over=reduce_over,
-            )
-            new_lens = np.bincount(hseg, minlength=g1 - g0)
-            widest = int(new_lens.max(initial=0))
-            if widest > max_pieces:
-                vertex = int(merges[g0 + int(np.argmax(new_lens))])
-                raise EnvelopeOverflowError(
-                    f"envelope at vertex {vertex} has {widest} pieces "
-                    f"(> {max_pieces}); {overflow_hint}"
-                )
-            group = merges[g0:g1]
-            pool.append(group, new_lens, hslope, hintercept)
-            if gc:
-                # hulls whose last referencing level just ran are dead;
-                # compact once more than half the pool is garbage
-                alive_mask[g0:g1] = True
-                end = int(
-                    np.searchsorted(death_levels, current_level, side="right")
-                )
-                if end > death_pos:
-                    dying = death_order[death_pos:end]
-                    alive_mask[dying] = False
-                    pool.retire(merges[dying])
-                    death_pos = end
-                    pool.compact(merges[alive_mask])
-
-    # final reduction: every sink's completion is its anchor hull shifted by
-    # the chain-compressed costs — one more segmented hull, one segment
-    rep, idx, _ = pool.gather(sink_anchor)
-    final_slope = pool.slope[idx] + acc_l[sinks][rep]
-    final_intercept = pool.intercept[idx] + acc_const[sinks][rep]
-    _, hslope, hintercept = _segmented_hulls(
-        np.zeros(len(final_slope), dtype=np.int64), final_slope,
-        final_intercept, lo, hi,
-    )
-    # the exact sequential pass also removes float-tie degenerate pieces, so
-    # the returned curve is structurally identical to the LP path's
-    final = _upper_envelope(
-        [Line(float(s), float(c)) for s, c in zip(hslope, hintercept)], lo, hi
-    )
-    final = _drop_invisible_pieces(final)
-    if len(final) > max_pieces:
-        raise EnvelopeOverflowError(
-            f"latency sweep envelope has {len(final)} pieces "
-            f"(> {max_pieces}); {overflow_hint}"
-        )
-    return PiecewiseLinear(lines=final, lo=lo, hi=hi)
+    lines = [Line(t.slope, t.const) for t in tangents]
+    return PiecewiseLinear(lines=_upper_envelope(lines, lo, hi), lo=lo, hi=hi)

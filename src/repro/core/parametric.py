@@ -9,7 +9,8 @@ where each term corresponds to one path through the execution graph
 paper notes that materialising this expression by dynamic programming is
 intractable in their C++ implementation; here it is an *upper-envelope*
 representation — only the lines that are maximal somewhere in the latency
-interval of interest are kept — computed exactly in one graph traversal
+interval of interest are kept — computed exactly by a tangent search whose
+probes are level passes over the graph
 (:func:`repro.core.envelope.forward_envelope`), or from LP tangents for LPs
 outside the forward pass's affinity contract (:meth:`BatchedSweep.lp_envelope`).
 
@@ -298,9 +299,9 @@ class BatchedSweep:
 
     On every LP that satisfies the affinity contract of
     ``src/repro/lp/README.md`` (the latency-global LPs the analyzer and the
-    sweep helpers build) the envelope comes from the single-traversal
-    :func:`~repro.core.envelope.forward_envelope`: no LP is assembled or
-    solved.  An LP outside the contract — per-pair HLogGP variables, moved
+    sweep helpers build) the envelope comes from
+    :func:`~repro.core.envelope.forward_envelope`, whose tangent search
+    probes with level passes: no LP is assembled or solved.  An LP outside the contract — per-pair HLogGP variables, moved
     gap/overhead bounds — is answered by :meth:`lp_envelope`, the
     ``ParametricLP`` tangent search, which also serves as the test oracle:
 

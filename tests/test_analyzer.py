@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import LatencyAnalyzer
+from repro.apps import ALL_APPS
+from repro.core.graph_analysis import forward_pass
 from repro.mpi import run_program
 from repro.network.params import LogGPSParams
 from repro.schedgen import build_graph
@@ -269,6 +272,10 @@ class TestNoLPWork:
         assert summary["tolerance_1pct_us"] >= CSCS_TESTBED.L
         assert main(["curve", "icon", "--nranks", "4", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["lp_solves"] == 0
+        assert main(["curve", "icon", "--nranks", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "envelope pieces    : 1 for 11 curve points" in out
+        assert "LP solves" not in out
         sweep = run_validation_sweep(small_app_graph, PARAMS, delta_Ls=[0.0, 10.0, 50.0])
         assert np.all(sweep.predicted > 0)
 
@@ -281,3 +288,53 @@ class TestNoLPWork:
         analyzer.critical_latency_curve()
         assert summary["runtime_us"] > 0
         assert analyzer._lp is None
+
+
+# ---------------------------------------------------------------------------
+# public-API property: every app, rank count and parameter corner
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def analyzer_params(draw):
+    zero = draw(st.booleans())
+    return LogGPSParams(
+        L=draw(st.sampled_from([0.0, 1e6]) | st.floats(0.0, 50.0)),
+        o=0.0 if zero else draw(st.floats(0.0, 10.0)),
+        g=draw(st.sampled_from([0.0, 5.0])),
+        G=0.0 if zero else draw(st.floats(0.0, 0.01)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    app=st.sampled_from(sorted(ALL_APPS)),
+    nranks=st.sampled_from([1, 2, 4, 8]),
+    params=analyzer_params(),
+)
+def test_analyzer_metrics_are_consistent(app, nranks, params):
+    """Hypothesis: on any app, rank count and parameters (zero overhead and
+    bandwidth cost, zero or huge latency) the analyzer's metrics are finite
+    and mutually consistent, or the input is rejected with ``ValueError``."""
+    try:
+        graph = ALL_APPS[app].build(nranks, params=params)
+        analyzer = LatencyAnalyzer(graph, params)
+        summary = analyzer.summary()
+        tolerances = analyzer.tolerance_report((0.01, 0.05, 0.5))
+    except ValueError:
+        return
+    runtime = summary["runtime_us"]
+    assert math.isfinite(runtime)
+    assert runtime == pytest.approx(forward_pass(graph, params).max(), rel=1e-9)
+    if params.g == 0.0:
+        # without the NIC gap the simulator's timestamps are the LP's
+        assert analyzer.simulate().makespan == pytest.approx(runtime, rel=1e-9)
+    lam = summary["lambda_L"]
+    assert math.isfinite(lam) and lam >= 0 and lam == int(lam)
+    assert 0.0 <= summary["rho_L"] <= 1.0 + 1e-9
+    for degradation in (0.01, 0.05, 0.5):
+        tolerance = tolerances.tolerance(degradation)
+        assert tolerance >= params.L
+        if math.isinf(tolerance):
+            # only a runtime that never grows with L tolerates any latency
+            assert lam == 0

@@ -329,6 +329,29 @@ class TestEnvelopeRoundTrip:
         with pytest.raises(TypeError, match="PiecewiseLinear or TangentEnvelope"):
             save_envelope(object(), tmp_path / "e.npz")
 
+    @pytest.mark.parametrize("savez", [np.savez, np.savez_compressed])
+    def test_small_npz_reader_matches_np_load(self, tmp_path, savez):
+        # the envelope loader's one-read path views stored members straight
+        # out of the file; compressed members take the np.load fallback
+        from repro.artifacts.serialize import _read_small_npz
+
+        arrays = {
+            "tag": np.str_("envelope"),
+            "count": np.int64(7),
+            "empty": np.zeros(0),
+            "grid": np.arange(12.0).reshape(3, 4),
+            "fortran": np.asfortranarray(np.arange(6).reshape(2, 3)),
+            "flags": np.array([True, False]),
+        }
+        path = tmp_path / "a.npz"
+        with open(path, "wb") as fh:
+            savez(fh, **arrays)
+        loaded = _read_small_npz(path)
+        assert loaded.keys() == arrays.keys()
+        for name, expected in arrays.items():
+            assert loaded[name].dtype == np.asarray(expected).dtype, name
+            assert np.array_equal(loaded[name], expected), name
+
 
 # ---------------------------------------------------------------------------
 # the store

@@ -27,9 +27,10 @@ from repro.core import (
     forward_incompatibility,
     resolve_envelope_engine,
 )
+from repro.core import envelope as envelope_module
 from repro.core.envelope import forward_supports_modes
 from repro.lp.parametric import ParametricLP
-from repro.network.params import LogGPSParams
+from repro.network.params import CSCS_TESTBED, LogGPSParams
 from repro.schedgen import build_graph
 from repro.testing import (
     build_random_dag,
@@ -192,6 +193,53 @@ def test_forward_equals_lp_property(graph, params, gap_mode, overhead_mode):
         graph, params, gap_mode=gap_mode, overhead_mode=overhead_mode
     )
     assert_envelopes_equivalent(forward, expected)
+
+
+# ---------------------------------------------------------------------------
+# the multi-round tangent search
+# ---------------------------------------------------------------------------
+
+
+class TestTangentSearch:
+    @pytest.mark.parametrize("k", [10, 40, 100])
+    def test_staircase_matches_lp_oracle(self, k):
+        graph = build_staircase(k)
+        forward = forward_envelope(graph, CSCS_TESTBED, l_min=0.0, l_max=1e4)
+        oracle = lp_envelope(graph, CSCS_TESTBED, l_max=1e4)
+        assert len(forward.lines) == len(oracle.lines)
+        np.testing.assert_allclose(
+            forward.breakpoints(), oracle.breakpoints(), rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("k", [10, 40, 100])
+    def test_unbounded_interval_agrees_on_shared_range(self, k):
+        graph = build_staircase(k)
+        bounded = forward_envelope(graph, CSCS_TESTBED, l_min=0.0, l_max=1e4)
+        unbounded = forward_envelope(graph, CSCS_TESTBED, l_min=0.0, l_max=np.inf)
+        assert len(unbounded.lines) == len(bounded.lines)
+        np.testing.assert_allclose(
+            unbounded.breakpoints(), bounded.breakpoints(), rtol=1e-9
+        )
+        xs = np.linspace(0.0, 1e4, 101)
+        np.testing.assert_allclose(unbounded.sample(xs), bounded.sample(xs), rtol=1e-12)
+        assert unbounded.slope(1e4) == bounded.slope(1e4)
+
+    def test_running_example_unbounded_takes_two_passes(self, monkeypatch):
+        # round 1 probes [0, inf) as two rows of one pass; round 2 probes the
+        # crossing of the two tangents, which is the breakpoint
+        passes = []
+        probe = envelope_module._probe
+
+        def counted(*args):
+            passes.append(len(args[-1]))
+            return probe(*args)
+
+        monkeypatch.setattr(envelope_module, "_probe", counted)
+        envelope = forward_envelope(
+            build_running_example(), PARAMS, l_min=0.0, l_max=np.inf
+        )
+        assert passes == [2, 1]
+        assert len(envelope.lines) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +471,6 @@ class TestAnalyzerParity:
     @pytest.mark.parametrize("app,nranks", [("icon", 4), ("lulesh", 8)])
     def test_apps(self, app, nranks):
         from repro.apps import ALL_APPS
-        from repro.network.params import CSCS_TESTBED
 
         graph = ALL_APPS[app].build(nranks, CSCS_TESTBED)
         assert_analyzer_matches_lp(graph, CSCS_TESTBED, max_segments=4)
@@ -443,7 +490,6 @@ def test_analyzer_equals_lp_property(graph, params):
 
 class TestFleetAndCli:
     def test_fleet_forward_engine_matches_default(self):
-        from repro.network.params import CSCS_TESTBED
         from repro.parallel import ScenarioFleet
 
         fleet = ScenarioFleet(

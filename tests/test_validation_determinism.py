@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.validation import noise_seed, run_validation_sweep
+from repro.core import LatencyAnalyzer
 from repro.network.params import LogGPSParams
 from repro.simulator.columnar import _LEVEL_PLAN_CACHE_SIZE, get_level_plan
 from repro.simulator import LogGOPSSimulator, make_injector
@@ -86,10 +87,20 @@ class TestLevelPlanCache:
             repetitions=repetitions,
         )
         # injector deltas are folded in on copies, so every (delta, rep)
-        # simulation shares the single (graph, params) plan
+        # simulation shares the single (graph, params) plan — and so does the
+        # prediction's envelope, which builds it first
         plans = list(graph._level_plan_cache.values())
         assert len(plans) == 1
-        assert plans[0].reuse_count == len(deltas) * repetitions - 1
+        assert plans[0].reuse_count == len(deltas) * repetitions
+
+    def test_analyzer_envelope_and_simulation_share_plan(self):
+        graph = build_random_dag(23, nranks=4, rounds=15)
+        analyzer = LatencyAnalyzer(graph, PARAMS)
+        analyzer.summary()
+        analyzer.simulate()
+        plans = list(graph._level_plan_cache.values())
+        assert len(plans) == 1
+        assert plans[0].reuse_count == 1
 
 
 class TestSweepReproducibility:
