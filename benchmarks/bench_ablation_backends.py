@@ -1,14 +1,13 @@
-"""Ablation — solver backends and analysis methods (DESIGN.md §4).
+"""Ablation — analysis methods.
 
 Compares, on the same execution graph, the three ways this reproduction can
-obtain ``T(ΔL)`` and ``λ_L``:
+obtain ``T(ΔL)``:
 
-* the LP with the HiGHS backend (the default; reproduces the paper's method),
-* the LP with the self-contained dense simplex (small graphs only),
+* the LP solved by HiGHS (reproduces the paper's method),
 * the plain forward-pass graph analysis (one fixed configuration per pass),
-* the exact parametric envelope (whole curve at once).
+* the exact forward envelope (whole curve at once).
 
-All four must agree numerically; the benchmark reports their runtimes.
+All three must agree numerically; the benchmark reports their runtimes.
 """
 
 from __future__ import annotations
@@ -34,14 +33,9 @@ def _run():
 
     lp = build_lp(small, CSCS_TESTBED)
     t0 = time.perf_counter()
-    values["highs"] = [lp.solve_runtime(L=CSCS_TESTBED.L + d, backend="highs").objective
+    values["highs"] = [lp.solve_runtime(L=CSCS_TESTBED.L + d).objective
                        for d in DELTAS]
     timings["highs"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    values["simplex"] = [lp.solve_runtime(L=CSCS_TESTBED.L + d, backend="simplex").objective
-                         for d in DELTAS]
-    timings["simplex"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     values["graph"] = [analyze_critical_path(small, CSCS_TESTBED.with_delta_latency(d)).runtime

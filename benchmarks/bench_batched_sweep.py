@@ -36,7 +36,7 @@ def _compare(graph, params, l_min: float, l_max: float):
     cold_lp = build_lp(graph, params)
     t0 = time.perf_counter()
     cold = np.array(
-        [cold_lp.solve_runtime(L=float(L), backend="highs").objective for L in Ls]
+        [cold_lp.solve_runtime(L=float(L)).objective for L in Ls]
     )
     cold_time = time.perf_counter() - t0
 

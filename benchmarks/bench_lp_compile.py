@@ -58,8 +58,8 @@ def _run():
     symbolic_s, symbolic_lp = _time_build(graph, "symbolic", reps=1)
     compiled_s, compiled_lp = _time_build(graph, "compiled", reps=5)
 
-    s_sol = symbolic_lp.solve_runtime(backend="highs")
-    c_sol = compiled_lp.solve_runtime(backend="highs")
+    s_sol = symbolic_lp.solve_runtime()
+    c_sol = compiled_lp.solve_runtime()
     return {
         "vertices": graph.num_vertices,
         "edges": graph.num_edges,

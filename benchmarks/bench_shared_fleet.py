@@ -73,7 +73,7 @@ def _pickling_job(job):
 
 def _run_pickling_pool(fleet):
     jobs = [
-        (graph, PARAMS, L_MIN, L_MAX, "auto", 50_000, None, BUILD_KWARGS)
+        (graph, PARAMS, L_MIN, L_MAX, 50_000, None, BUILD_KWARGS)
         for graph in fleet
     ]
     start = time.perf_counter()
@@ -94,7 +94,6 @@ def _run_shared_fleet(fleet):
             params_digest=PARAMS.content_digest(),
             l_min=L_MIN,
             l_max=L_MAX,
-            backend="auto",
             max_pieces=50_000,
             build_kwargs=tuple(sorted(BUILD_KWARGS.items())),
             params=PARAMS,

@@ -175,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximum number of accepted swaps")
     place.add_argument("--top-k", type=int, default=4,
                        help="candidate swaps LP-verified per iteration")
-    place.add_argument("--backend", default="highs",
-                       help="LP backend name from the registry (default: %(default)s)")
     place.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     trace = sub.add_parser("trace", help="write a liballprof-style trace")
@@ -356,14 +354,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    from .lp.backends import default_registry
     from .network import ArchitectureGraph, block_mapping, random_mapping, round_robin_mapping
     from .placement import llamp_placement, predicted_runtime, volume_greedy_placement
 
-    try:
-        default_registry.get(args.backend)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
     if args.nodes < 1:
         raise SystemExit(f"--nodes must be >= 1, got {args.nodes}")
     if args.top_k < 1:
@@ -396,18 +389,14 @@ def _cmd_place(args: argparse.Namespace) -> int:
         graph, params, arch,
         initial_mapping=initial,
         max_iterations=args.max_iterations,
-        backend=args.backend,
         top_k=args.top_k,
         graph_lp=graph_lp,
     )
     block = block_mapping(args.nranks, arch)
     baselines = {
-        "block": predicted_runtime(
-            graph, params, arch, block, backend=args.backend, graph_lp=graph_lp
-        ),
+        "block": predicted_runtime(graph, params, arch, block, graph_lp=graph_lp),
         "volume_greedy": predicted_runtime(
-            graph, params, arch, volume_greedy_placement(graph, arch),
-            backend=args.backend, graph_lp=graph_lp,
+            graph, params, arch, volume_greedy_placement(graph, arch), graph_lp=graph_lp
         ),
     }
     if args.json:

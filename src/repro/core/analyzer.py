@@ -97,9 +97,9 @@ class ToleranceReport:
 class LatencyAnalyzer:
     """Analyse the network-latency behaviour of one execution graph.
 
-    ``backend`` names the registry solver for the one metric that solves an
-    LP, :meth:`bandwidth_sensitivity`; every latency metric is read from the
-    forward envelope and never reaches a solver.
+    Every latency metric is read from the forward envelope and never reaches
+    a solver; the one metric that solves an LP (with HiGHS) is
+    :meth:`bandwidth_sensitivity`.
     """
 
     #: degradation levels highlighted throughout the paper (Fig. 1 / Fig. 9)
@@ -110,7 +110,6 @@ class LatencyAnalyzer:
         graph: ExecutionGraph,
         params: LogGPSParams,
         *,
-        backend: str = "highs",
         gap_symbolic: bool = False,
         cache_dir: str | os.PathLike | None = None,
     ) -> None:
@@ -126,7 +125,6 @@ class LatencyAnalyzer:
             self._schedule = None
             self._graph = graph
         self.params = params
-        self.backend = backend
         self._gap_mode = "global" if gap_symbolic else "constant"
         self._lp: GraphLP | None = None
         self._envelopes: dict[tuple[float, float], PiecewiseLinear] = {}
@@ -309,7 +307,6 @@ class LatencyAnalyzer:
         *,
         l_min: float | None = None,
         l_max: float = 10_000.0,
-        backend: str = "auto",
         max_pieces: int = 50_000,
         processes: int | None = None,
         cache_dir: str | os.PathLike | None = None,
@@ -332,7 +329,6 @@ class LatencyAnalyzer:
             params,
             l_min=lo,
             l_max=l_max,
-            backend=backend,
             max_pieces=max_pieces,
             processes=processes,
             cache_dir=cache_dir,
@@ -372,7 +368,7 @@ class LatencyAnalyzer:
                 "build the analyzer with gap_symbolic=True to query bandwidth sensitivity"
             )
         check_nonnegative(delta_L, "delta_L", "bandwidth_sensitivity")
-        solution = self.lp.solve_runtime(L=self.params.L + delta_L, backend=self.backend)
+        solution = self.lp.solve_runtime(L=self.params.L + delta_L)
         return self.lp.gap_sensitivity(solution)
 
     # -- tolerance -----------------------------------------------------------------

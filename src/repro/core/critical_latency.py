@@ -80,7 +80,6 @@ def find_critical_latencies(
     l_min: float,
     l_max: float,
     *,
-    backend: str = "highs",
     step: float | None = None,
     max_solves: int = 10_000,
     params: LogGPSParams | None = None,
@@ -90,15 +89,14 @@ def find_critical_latencies(
     ``graph_lp`` is a :class:`GraphLP` or a raw
     :class:`~repro.schedgen.graph.ExecutionGraph` together with ``params=``.
     ``step``, when given, coalesces breakpoints closer than ``step`` (the
-    resolution knob of the paper's Algorithm 2); ``backend`` and
-    ``max_solves`` apply to the tangent search of an LP outside the affinity
-    contract.
+    resolution knob of the paper's Algorithm 2); ``max_solves`` applies to
+    the tangent search of an LP outside the affinity contract.
     """
     validate_interval(l_min, l_max)
     piecewise = _forward_piecewise(graph_lp, params, l_min, l_max)
     if piecewise is not None:
         return _collect_breakpoints(piecewise.breakpoints(), step)
-    result = graph_lp.tangent_envelope(l_min, l_max, backend=backend, max_solves=max_solves)
+    result = graph_lp.tangent_envelope(l_min, l_max, max_solves=max_solves)
     return _collect_breakpoints(result.breakpoints, step)
 
 
@@ -107,7 +105,6 @@ def critical_latency_curve(
     l_min: float,
     l_max: float,
     *,
-    backend: str = "highs",
     max_solves: int = 10_000,
     params: LogGPSParams | None = None,
 ) -> list[Tangent]:
@@ -124,7 +121,7 @@ def critical_latency_curve(
     piecewise = _forward_piecewise(graph_lp, params, l_min, l_max)
     if piecewise is not None:
         return _segment_tangents(piecewise, l_min, l_max)
-    result = graph_lp.tangent_envelope(l_min, l_max, backend=backend, max_solves=max_solves)
+    result = graph_lp.tangent_envelope(l_min, l_max, max_solves=max_solves)
     points = _collect_breakpoints(result.breakpoints, None)
     boundaries = [l_min, *points, l_max]
     return [

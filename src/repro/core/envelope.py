@@ -35,7 +35,7 @@ pay for each one.  On the synthetic
 :func:`~repro.testing.build_staircase` graphs (``CSCS_TESTBED`` parameters,
 ``[0, 1e4]``, one 2-core Xeon host), against the single-traversal hull
 propagation this engine replaced and the LP oracle
-(``BatchedSweep(lp).lp_envelope()``, default backend):
+(``BatchedSweep(lp).lp_envelope()``, HiGHS):
 
 ==========================  ======  =========  ==============  =========
 graph                       pieces  hull pass  tangent search  LP oracle

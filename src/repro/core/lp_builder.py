@@ -29,6 +29,7 @@ variable, whose reduced cost after optimisation is the pairwise sensitivity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -131,21 +132,17 @@ class GraphLP:
 
     # -- solving convenience ----------------------------------------------------
 
-    def solve_runtime(
-        self, L: float | None = None, backend: str = "highs", **options: object
-    ) -> LPSolution:
+    def solve_runtime(self, L: float | None = None, **options: object) -> LPSolution:
         """Minimise the makespan, optionally after setting ``l >= L``.
 
-        ``options`` are forwarded to the backend (e.g. ``warm_start=``).
+        ``options`` are forwarded to HiGHS (e.g. ``presolve=False``).
         """
         if L is not None:
             self.set_latency_bound(L)
         self._set_min_objective()
-        return self.model.solve(backend=backend, **options)
+        return self.model.solve(**options)
 
-    def solve_max_latency(
-        self, runtime_bound: float, backend: str = "highs", **options: object
-    ) -> LPSolution:
+    def solve_max_latency(self, runtime_bound: float, **options: object) -> LPSolution:
         """Maximise ``l`` subject to ``t <= runtime_bound`` (Section II-D2).
 
         The additional runtime constraint is removed again after solving so
@@ -158,7 +155,7 @@ class GraphLP:
         )
         self.model.set_objective(self.latency, Sense.MAX)
         try:
-            solution = self.model.solve(backend=backend, **options)
+            solution = self.model.solve(**options)
         finally:
             self.model.pop_constraint()
             self._renumber_constraints()
@@ -170,7 +167,6 @@ class GraphLP:
         l_min: float,
         l_max: float,
         *,
-        backend: str = "highs",
         max_solves: int = 10_000,
         max_pieces: int | None = None,
         engine=None,
@@ -184,15 +180,23 @@ class GraphLP:
         variable re-sync after the bound-moving probes) in one place.
         Callers that need solve counts even when the search raises can pass
         their own :class:`~repro.lp.parametric.ParametricLP` as ``engine``
-        (``backend``/``max_solves`` are then ignored).
+        (``max_solves`` is then ignored).  Every probe is an LP solve, so
+        ``l_max`` must be finite.
         """
         if self.latency is None:
             raise ValueError("this LP was built in per-pair latency mode")
         from ..lp.parametric import ParametricLP
+        from .envelope import validate_interval
 
+        validate_interval(l_min, l_max)
+        if math.isinf(l_max):
+            raise ValueError(
+                "argument 'l_max' to tangent_envelope: the LP tangent search "
+                "needs a finite upper end, got inf"
+            )
         self._set_min_objective()
         if engine is None:
-            engine = ParametricLP(self.model, backend=backend, max_solves=max_solves)
+            engine = ParametricLP(self.model, max_solves=max_solves)
         try:
             return engine.tangent_envelope(
                 self.latency, l_min, l_max, max_pieces=max_pieces

@@ -322,11 +322,9 @@ class BatchedSweep:
         A :class:`~repro.core.lp_builder.GraphLP` built with
         ``latency_mode="global"``.
     l_min, l_max:
-        The latency interval swept.
-    backend:
-        Backend name from the default registry for the tangent search
-        (``"auto"`` picks the dense simplex for tiny models, HiGHS
-        otherwise).
+        The latency interval swept (``0 <= l_min < l_max``).  ``l_max`` may
+        be ``inf`` on the forward path; the LP tangent search, which solves
+        with HiGHS, needs it finite.
     max_pieces:
         Guard against pathological envelope growth: discovering more than
         this many linear segments raises :class:`EnvelopeOverflowError`.
@@ -340,22 +338,23 @@ class BatchedSweep:
         *,
         l_min: float = 0.0,
         l_max: float = 10_000.0,
-        backend: str = "auto",
         max_pieces: int = 50_000,
         max_solves: int = 10_000,
     ) -> None:
+        from .envelope import validate_interval
+
         if graph_lp.latency is None:
             raise ValueError(
                 "BatchedSweep requires a GraphLP built with latency_mode='global'"
             )
-        if l_min < 0 or l_max <= l_min:
-            raise ValueError(f"invalid latency interval [{l_min}, {l_max}]")
+        validate_interval(l_min, l_max)
         if max_pieces < 1:
             raise ValueError(f"max_pieces must be positive, got {max_pieces}")
+        if max_solves < 1:
+            raise ValueError(f"max_solves must be positive, got {max_solves}")
         self.graph_lp = graph_lp
         self.l_min = float(l_min)
         self.l_max = float(l_max)
-        self.backend = backend
         self.max_pieces = max_pieces
         self.max_solves = max_solves
         self.num_solves = 0
@@ -373,7 +372,6 @@ class BatchedSweep:
         sweep.graph_lp = None
         sweep.l_min = float(envelope.lo)
         sweep.l_max = float(envelope.hi)
-        sweep.backend = "cached"
         sweep.max_pieces = max(len(envelope.lines), 1)
         sweep.max_solves = 0
         sweep.num_solves = 0
@@ -412,9 +410,7 @@ class BatchedSweep:
                 "this BatchedSweep was restored from a cached envelope and "
                 "has no model to solve"
             )
-        engine = ParametricLP(
-            self.graph_lp.model, backend=self.backend, max_solves=self.max_solves
-        )
+        engine = ParametricLP(self.graph_lp.model, max_solves=self.max_solves)
         try:
             result = self.graph_lp.tangent_envelope(
                 self.l_min, self.l_max, max_pieces=self.max_pieces, engine=engine
@@ -467,7 +463,7 @@ class BatchedSweep:
 
 
 def _fresh_envelope(
-    graph, params, l_min, l_max, backend, max_pieces, build_kwargs
+    graph, params, l_min, l_max, max_pieces, build_kwargs
 ) -> PiecewiseLinear:
     """The envelope of a fresh ``build_lp(graph, params, **build_kwargs)``.
 
@@ -487,18 +483,15 @@ def _fresh_envelope(
         build_lp(graph, params, **build_kwargs),
         l_min=l_min,
         l_max=l_max,
-        backend=backend,
         max_pieces=max_pieces,
     ).envelope
 
 
 def _sweep_one_graph(job) -> PiecewiseLinear:
-    graph, params, l_min, l_max, backend, max_pieces, cache_dir, build_kwargs = job
+    graph, params, l_min, l_max, max_pieces, cache_dir, build_kwargs = job
 
     def build() -> PiecewiseLinear:
-        return _fresh_envelope(
-            graph, params, l_min, l_max, backend, max_pieces, build_kwargs
-        )
+        return _fresh_envelope(graph, params, l_min, l_max, max_pieces, build_kwargs)
 
     if cache_dir is None:
         return build()
@@ -518,7 +511,6 @@ def batched_sweep_graphs(
     *,
     l_min: float = 0.0,
     l_max: float = 10_000.0,
-    backend: str = "auto",
     max_pieces: int = 50_000,
     processes: int | None = None,
     cache_dir: str | os.PathLike | None = None,
@@ -567,7 +559,6 @@ def batched_sweep_graphs(
                 params,
                 l_min=l_min,
                 l_max=l_max,
-                backend=backend,
                 max_pieces=max_pieces,
                 **build_kwargs,
             )
@@ -579,8 +570,7 @@ def batched_sweep_graphs(
         envelope = by_digest.get(digest)
         if envelope is None:
             envelope = _sweep_one_graph(
-                (graph, params, l_min, l_max, backend, max_pieces, cache_dir,
-                 build_kwargs)
+                (graph, params, l_min, l_max, max_pieces, cache_dir, build_kwargs)
             )
             by_digest[digest] = envelope
         envelopes.append(envelope)

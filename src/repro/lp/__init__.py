@@ -1,7 +1,7 @@
-"""Linear programming layer: modelling objects and interchangeable backends."""
+"""Linear programming layer: modelling objects and the HiGHS solver registry."""
 
 from .assembler import AssembledLP, assemble, assemble_rows
-from .backends import BackendRegistry, BackendSpec, auto_backend_choice, default_registry
+from .backends import BackendRegistry, BackendSpec, default_registry
 from .compiler import CompiledLP, compile_lp, compile_lp_from_batches
 from .parametric import EnvelopeOverflowError, ParametricLP, Tangent, TangentEnvelope
 from .model import (
@@ -17,7 +17,6 @@ from .model import (
     Variable,
 )
 from .scipy_backend import solve_highs
-from .simplex import SimplexOptions, solve_simplex
 
 __all__ = [
     "LPModel",
@@ -31,8 +30,6 @@ __all__ = [
     "InfeasibleError",
     "UnboundedError",
     "solve_highs",
-    "solve_simplex",
-    "SimplexOptions",
     "AssembledLP",
     "assemble",
     "assemble_rows",
@@ -46,5 +43,4 @@ __all__ = [
     "BackendRegistry",
     "BackendSpec",
     "default_registry",
-    "auto_backend_choice",
 ]

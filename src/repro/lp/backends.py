@@ -1,32 +1,27 @@
-"""Backend registry: a uniform solve protocol over interchangeable solvers.
+"""Backend registry: the one place an LP solver is named.
 
-Every backend is a callable ``solve(model, *, warm_start=None, **options)``
-returning an :class:`~repro.lp.model.LPSolution`, registered under a name in
-a :class:`BackendRegistry` together with a capability description.  The
-default registry ships three entries:
+Every backend is a callable ``solve(model, **options)`` returning an
+:class:`~repro.lp.model.LPSolution`, registered under a name in a
+:class:`BackendRegistry`.  The default registry ships one entry:
 
 ``"highs"``
-    :func:`repro.lp.scipy_backend.solve_highs` — sparse, handles the large
-    LPs generated from application graphs, provides duals/reduced costs;
-``"simplex"``
-    :func:`repro.lp.simplex.solve_simplex` — dense two-phase simplex,
-    additionally provides lower-bound ranging (Gurobi's ``SALBLow``); far
-    lower per-call overhead than ``linprog`` on tiny models;
-``"auto"``
-    dispatches to ``"simplex"`` for tiny all-finite-lower-bound models and to
-    ``"highs"`` otherwise.
+    :func:`repro.lp.scipy_backend.solve_highs` — HiGHS through
+    :func:`scipy.optimize.linprog`; sparse, handles the large LPs generated
+    from application graphs, provides duals/reduced costs.
 
 Adding a solver is one decorator::
 
     from repro.lp.backends import default_registry
 
     @default_registry.register("glpk", description="GLPK via swiglpk")
-    def solve_glpk(model, *, warm_start=None, **options):
+    def solve_glpk(model, **options):
         ...
         return LPSolution(...)
 
-after which ``model.solve(backend="glpk")`` and every higher layer
-(:class:`~repro.core.lp_builder.GraphLP`, the analyzer, the CLI) can use it.
+after which ``model.solve(backend="glpk")`` uses it.  The layers above the
+model (:class:`~repro.core.lp_builder.GraphLP`, the analyzer, placement, the
+CLI) always solve with ``"highs"``; a test swaps that solver out with
+``register("highs", replace=True)``.
 """
 
 from __future__ import annotations
@@ -34,27 +29,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .model import LPModel, LPSolution
 
-__all__ = ["BackendSpec", "BackendRegistry", "default_registry", "auto_backend_choice"]
+__all__ = ["BackendSpec", "BackendRegistry", "default_registry"]
 
 
-#: ``solve(model, *, warm_start=None, **options) -> LPSolution``
+#: ``solve(model, **options) -> LPSolution``
 SolveFn = Callable[..., LPSolution]
 
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """A registered backend: its solve callable plus declared capabilities."""
+    """A registered backend: its name, solve callable and description."""
 
     name: str
     solve: SolveFn
     description: str = ""
-    supports_duals: bool = True
-    supports_ranging: bool = False
-    supports_warm_start: bool = False
 
 
 class BackendRegistry:
@@ -66,14 +56,7 @@ class BackendRegistry:
     # -- registration ---------------------------------------------------------
 
     def register(
-        self,
-        name: str,
-        *,
-        description: str = "",
-        supports_duals: bool = True,
-        supports_ranging: bool = False,
-        supports_warm_start: bool = False,
-        replace: bool = False,
+        self, name: str, *, description: str = "", replace: bool = False
     ) -> Callable[[SolveFn], SolveFn]:
         """Decorator registering ``fn`` as backend ``name``."""
         if not name:
@@ -84,14 +67,7 @@ class BackendRegistry:
                 raise ValueError(
                     f"backend {name!r} is already registered; pass replace=True to override"
                 )
-            self._specs[name] = BackendSpec(
-                name=name,
-                solve=fn,
-                description=description,
-                supports_duals=supports_duals,
-                supports_ranging=supports_ranging,
-                supports_warm_start=supports_warm_start,
-            )
+            self._specs[name] = BackendSpec(name=name, solve=fn, description=description)
             return fn
 
         return decorator
@@ -124,17 +100,9 @@ class BackendRegistry:
 
     # -- solving ----------------------------------------------------------------
 
-    def solve(
-        self,
-        model: LPModel,
-        backend: str = "auto",
-        *,
-        warm_start: LPSolution | np.ndarray | None = None,
-        **options: object,
-    ) -> LPSolution:
+    def solve(self, model: LPModel, backend: str = "highs", **options: object) -> LPSolution:
         """Solve ``model`` with the named backend."""
-        spec = self.get(backend)
-        return spec.solve(model, warm_start=warm_start, **options)
+        return self.get(backend).solve(model, **options)
 
 
 #: The registry used by :meth:`LPModel.solve` and everything above it.
@@ -142,96 +110,9 @@ default_registry = BackendRegistry()
 
 
 @default_registry.register(
-    "highs",
-    description="scipy.optimize.linprog with the HiGHS solver (sparse, scalable)",
-    supports_duals=True,
+    "highs", description="scipy.optimize.linprog with the HiGHS solver (sparse, scalable)"
 )
-def _solve_highs_backend(
-    model: LPModel, *, warm_start: LPSolution | np.ndarray | None = None, **options: object
-) -> LPSolution:
+def _solve_highs_backend(model: LPModel, **options: object) -> LPSolution:
     from .scipy_backend import solve_highs
 
-    return solve_highs(model, warm_start=warm_start, **options)
-
-
-@default_registry.register(
-    "simplex",
-    description="dense two-phase simplex with lower-bound ranging (small models)",
-    supports_duals=True,
-    supports_ranging=True,
-)
-def _solve_simplex_backend(
-    model: LPModel, *, warm_start: LPSolution | np.ndarray | None = None, **options: object
-) -> LPSolution:
-    from .simplex import solve_simplex
-
-    return solve_simplex(model, warm_start=warm_start, **options)
-
-
-# The native highspy bindings are optional; when importable they register as
-# a fourth backend with a real simplex-basis warm start (ParametricLP's basis
-# hand-off activates on supports_warm_start).  Environments without the
-# package see an unchanged registry — no stub entry, no import error.
-from .highspy_backend import HAVE_HIGHSPY
-
-if HAVE_HIGHSPY:  # pragma: no cover - requires the optional highspy package
-
-    @default_registry.register(
-        "highspy",
-        description="native HiGHS bindings with simplex basis warm starts",
-        supports_duals=True,
-        supports_warm_start=True,
-    )
-    def _solve_highspy_backend(
-        model: LPModel, *, warm_start: LPSolution | np.ndarray | None = None, **options: object
-    ) -> LPSolution:
-        from .highspy_backend import solve_highspy
-
-        return solve_highspy(model, warm_start=warm_start, **options)
-
-
-# Below these sizes the dense simplex beats linprog's fixed per-call overhead
-# (~2.5 ms on this hardware vs ~0.15 ms for an 8-variable model).
-_AUTO_MAX_VARS = 64
-_AUTO_MAX_ROWS = 256
-
-
-def auto_backend_choice(model: LPModel) -> str:
-    """The concrete backend ``"auto"`` dispatches ``model`` to."""
-    if (
-        model.num_vars <= _AUTO_MAX_VARS
-        and model.num_constraints <= _AUTO_MAX_ROWS
-        and all(np.isfinite(var.lb) for var in model.variables)
-    ):
-        return "simplex"
-    return "highs"
-
-
-# Backend-specific option names: their presence pins the auto dispatch so a
-# tiny model doesn't route highs options into the simplex (or vice versa).
-_HIGHS_ONLY_OPTIONS = frozenset({"method", "presolve"})
-_SIMPLEX_ONLY_OPTIONS = frozenset({"options"})
-
-
-@default_registry.register(
-    "auto",
-    description="dispatch to 'simplex' for tiny models, 'highs' otherwise",
-    supports_duals=True,
-)
-def _solve_auto_backend(
-    model: LPModel, *, warm_start: LPSolution | np.ndarray | None = None, **options: object
-) -> LPSolution:
-    wants_highs = _HIGHS_ONLY_OPTIONS & options.keys()
-    wants_simplex = _SIMPLEX_ONLY_OPTIONS & options.keys()
-    if wants_highs and wants_simplex:
-        raise ValueError(
-            f"options {sorted(wants_highs)} require 'highs' but {sorted(wants_simplex)} "
-            "require 'simplex'; pick one backend explicitly"
-        )
-    if wants_highs:
-        choice = "highs"
-    elif wants_simplex:
-        choice = "simplex"
-    else:
-        choice = auto_backend_choice(model)
-    return default_registry.solve(model, backend=choice, warm_start=warm_start, **options)
+    return solve_highs(model, **options)

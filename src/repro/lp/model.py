@@ -2,14 +2,10 @@
 
 LLAMP converts execution graphs into linear programs (Section II-C,
 Algorithm 1).  The paper uses Gurobi; this reproduction provides a
-self-contained modelling layer with interchangeable open backends:
-
-* ``"highs"`` — :func:`scipy.optimize.linprog` with the HiGHS solver
-  (default; handles the large LPs generated from application graphs and
-  returns dual values / reduced costs);
-* ``"simplex"`` — a dense bounded-variable simplex implemented in
-  :mod:`repro.lp.simplex` (small problems; additionally reports the ranging
-  information that Gurobi exposes as ``SARHSLow``/``SALBLow``).
+self-contained modelling layer solved by HiGHS through
+:func:`scipy.optimize.linprog` (``"highs"``, :mod:`repro.lp.scipy_backend`),
+which handles the large LPs generated from application graphs and returns
+dual values / reduced costs.
 
 The modelling objects are deliberately minimal: variables with bounds,
 affine expressions, ``>=``/``<=``/``==`` constraints and a linear objective.
@@ -591,8 +587,8 @@ class LPModel:
         """Solve the model with the selected backend and return a solution.
 
         ``backend`` names an entry of the default
-        :class:`~repro.lp.backends.BackendRegistry` (``"highs"``,
-        ``"simplex"``, ``"auto"``, or anything registered by the caller).
+        :class:`~repro.lp.backends.BackendRegistry` (``"highs"``, or
+        anything registered by the caller); ``options`` go to its solver.
         """
         from .backends import default_registry
 
@@ -621,7 +617,6 @@ class LPSolution:
     values: np.ndarray
     reduced_costs: np.ndarray | None = None
     duals: np.ndarray | None = None
-    lower_range: np.ndarray | None = None
     iterations: int = 0
     backend: str = ""
     _model: LPModel | None = None

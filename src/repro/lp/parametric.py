@@ -14,9 +14,7 @@ while only variable *bounds* move":
 whose CSR lowering (:mod:`repro.lp.assembler`) is built once; every update
 goes through bound-only mutators that bump just the model's bounds-revision
 counter, so re-solves refresh two dense vectors instead of re-expanding the
-constraint dictionaries.  When the selected backend declares
-``supports_warm_start`` in the registry, the previous solution is handed to
-it on every re-solve.
+constraint dictionaries.
 
 On top of the bound/solve primitives the engine exposes the shared convex
 **tangent-envelope search** (:meth:`ParametricLP.tangent_envelope`): ``T(L)``
@@ -33,7 +31,7 @@ recursing on tangent intersections discovers every linear segment with
   recurse on ``[lo, x]`` and ``[x, hi]``).
 
 This is the same complexity class as the paper's Algorithm 2 with exact
-Gurobi ranging information, which the open backends do not provide.  Both
+Gurobi ranging information, which HiGHS through SciPy does not provide.  Both
 :func:`repro.core.critical_latency.find_critical_latencies` and
 :class:`repro.core.parametric.BatchedSweep` are thin wrappers over this
 search; the placement loop uses the bound/solve primitives directly.
@@ -44,9 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import math
+
 import numpy as np
 
-from .backends import BackendRegistry, default_registry
 from .model import LPModel, LPSolution, Variable
 
 __all__ = ["Tangent", "TangentEnvelope", "EnvelopeOverflowError", "ParametricLP"]
@@ -127,34 +126,18 @@ class ParametricLP:
         The :class:`~repro.lp.model.LPModel` to own.  The objective must
         already be set; the engine never touches it (an objective change
         would force the assembler to refresh the cost vector on each solve).
-    backend:
-        Backend name from ``registry`` (default: the shared
-        :data:`~repro.lp.backends.default_registry`).
+        Every solve goes through :meth:`LPModel.solve` (HiGHS).
     max_solves:
         Hard bound on the number of LP solves issued through this engine.
-    warm_start:
-        When true (default) and the backend's registry entry declares
-        ``supports_warm_start``, every solve after the first receives the
-        previous :class:`~repro.lp.model.LPSolution` as ``warm_start=``.
     """
 
-    def __init__(
-        self,
-        model: LPModel,
-        *,
-        backend: str = "auto",
-        max_solves: int = 10_000,
-        warm_start: bool = True,
-        registry: BackendRegistry | None = None,
-    ) -> None:
+    def __init__(self, model: LPModel, *, max_solves: int = 10_000) -> None:
+        if max_solves < 1:
+            raise ValueError(f"max_solves must be positive, got {max_solves}")
         self.model = model
-        self.backend = backend
         self.max_solves = max_solves
         self.num_solves = 0
         self.last_solution: LPSolution | None = None
-        self._registry = registry if registry is not None else default_registry
-        spec = self._registry.get(backend)  # fail fast on unknown backends
-        self._hand_warm_start = warm_start and spec.supports_warm_start
         self._initial_structure_version = model.structure_version
 
     # -- bound-only updates ----------------------------------------------------
@@ -192,14 +175,12 @@ class ParametricLP:
     # -- solving -----------------------------------------------------------------
 
     def solve(self, **options: object) -> LPSolution:
-        """Re-solve the model, counting solves and handing off warm starts."""
+        """Re-solve the model, counting solves."""
         if self.num_solves >= self.max_solves:
             raise RuntimeError(
                 f"exceeded {self.max_solves} LP solves while sweeping latencies"
             )
-        if self._hand_warm_start and self.last_solution is not None:
-            options.setdefault("warm_start", self.last_solution)
-        solution = self._registry.solve(self.model, backend=self.backend, **options)
+        solution = self.model.solve(**options)
         self.num_solves += 1
         self.last_solution = solution
         return solution
@@ -224,10 +205,18 @@ class ParametricLP:
 
         ``O(#breakpoints)`` LP solves; ``max_pieces`` (when given) bounds the
         number of distinct segment slopes the search may discover before an
-        :class:`EnvelopeOverflowError` is raised.
+        :class:`EnvelopeOverflowError` is raised.  The interval must satisfy
+        ``0 <= lo < hi < inf``: the search probes ``hi`` with a solve.
         """
-        if lo < 0 or hi <= lo:
-            raise ValueError(f"invalid latency interval [{lo}, {hi}]")
+        if not 0 <= lo < hi:
+            raise ValueError(
+                f"invalid latency interval [{lo}, {hi}]: require 0 <= lo < hi"
+            )
+        if math.isinf(hi):
+            raise ValueError(
+                "argument 'hi' to tangent_envelope: the LP tangent search needs "
+                "a finite upper end, got inf"
+            )
 
         low = self.probe(var, lo)
         high = self.probe(var, hi)

@@ -31,21 +31,17 @@ __all__ = ["solve_highs"]
 
 
 def solve_highs(
-    model: LPModel,
-    *,
-    warm_start: LPSolution | np.ndarray | None = None,
-    method: str = "highs",
-    presolve: bool = True,
+    model: LPModel, *, method: str = "highs", presolve: bool = True
 ) -> LPSolution:
     """Solve ``model`` with :func:`scipy.optimize.linprog` (HiGHS).
 
-    ``warm_start`` is accepted for protocol uniformity with the other
-    backends but ignored: SciPy's ``linprog`` does not expose a basis
-    hand-off for the HiGHS methods.  Sweep-level reuse (the
-    :class:`~repro.core.parametric.BatchedSweep` tangent cache) recovers the
-    benefit instead.
+    The only LP solver of the package: registered as ``"highs"`` in
+    :data:`~repro.lp.backends.default_registry`, which every layer above
+    :meth:`LPModel.solve` goes through.  ``method`` selects the HiGHS
+    algorithm (``"highs"``, ``"highs-ds"``, ``"highs-ipm"``) and
+    ``presolve`` toggles its presolve phase.  Re-solves after bound-only
+    updates reuse the model's cached CSR lowering.
     """
-    del warm_start  # no basis hand-off through scipy.optimize.linprog
     if model.num_vars == 0:
         raise LPError("model has no variables")
     assembled = assemble(model)
@@ -92,7 +88,6 @@ def solve_highs(
         values=values,
         reduced_costs=reduced_costs,
         duals=duals,
-        lower_range=None,
         iterations=int(getattr(result, "nit", 0) or 0),
         backend="highs",
         _model=model,

@@ -58,7 +58,6 @@ class SweepTask:
     params_digest: str
     l_min: float
     l_max: float
-    backend: str = "auto"
     max_pieces: int = 50_000
     build_kwargs: tuple[tuple[str, object], ...] = ()
     sim: tuple[str, tuple[float, ...]] | None = None  # (injector, deltas)
@@ -70,7 +69,7 @@ class SweepTask:
         """Two tasks with equal keys produce bit-identical results."""
         return (
             self.graph_digest, self.params_digest, self.l_min, self.l_max,
-            self.backend, self.max_pieces, self.build_kwargs, self.sim,
+            self.max_pieces, self.build_kwargs, self.sim,
         )
 
     def store_key(self) -> str:
@@ -166,8 +165,8 @@ def _execute_task(task: SweepTask) -> dict:
 
     def build():
         return _fresh_envelope(
-            graph, task.params, task.l_min, task.l_max, task.backend,
-            task.max_pieces, dict(task.build_kwargs),
+            graph, task.params, task.l_min, task.l_max, task.max_pieces,
+            dict(task.build_kwargs),
         )
 
     store: ArtifactStore | None = _WORKER.get("store")
@@ -377,7 +376,6 @@ class SweepPool:
         *,
         l_min: float = 0.0,
         l_max: float = 10_000.0,
-        backend: str = "auto",
         max_pieces: int = 50_000,
         **build_kwargs,
     ) -> list:
@@ -395,7 +393,6 @@ class SweepPool:
                 params_digest=params_digest,
                 l_min=float(l_min),
                 l_max=float(l_max),
-                backend=backend,
                 max_pieces=int(max_pieces),
                 build_kwargs=build_items,
                 params=params,

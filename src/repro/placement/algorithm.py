@@ -74,12 +74,11 @@ class PlacementResult:
         return 1.0 - self.predicted_runtime / self.initial_runtime
 
 
-def _solve_for_mapping(graph_lp: GraphLP, arch: ArchitectureGraph, mapping: Sequence[int],
-                       backend: str):
+def _solve_for_mapping(graph_lp: GraphLP, arch: ArchitectureGraph, mapping: Sequence[int]):
     graph_lp.set_pair_latency_bounds(arch.latency_matrix(mapping))
     if graph_lp.pair_gap:
         graph_lp.set_pair_gap_bounds(arch.gap_matrix(mapping))
-    return graph_lp.model.solve(backend=backend)
+    return graph_lp.model.solve()
 
 
 def predicted_runtime(
@@ -88,7 +87,6 @@ def predicted_runtime(
     arch: ArchitectureGraph,
     mapping: Sequence[int],
     *,
-    backend: str = "highs",
     include_gap: bool = True,
     graph_lp: GraphLP | None = None,
 ) -> float:
@@ -106,7 +104,7 @@ def predicted_runtime(
         )
     elif not graph_lp.pair_latency:
         raise ValueError("predicted_runtime needs a GraphLP built with latency_mode='per_pair'")
-    solution = _solve_for_mapping(graph_lp, arch, mapping, backend)
+    solution = _solve_for_mapping(graph_lp, arch, mapping)
     return solution.objective
 
 
@@ -236,7 +234,6 @@ def llamp_placement(
     *,
     initial_mapping: Sequence[int] | None = None,
     max_iterations: int = 20,
-    backend: str = "highs",
     include_gap: bool = True,
     top_k: int = 4,
     graph_lp: GraphLP | None = None,
@@ -268,7 +265,7 @@ def llamp_placement(
     elif not graph_lp.pair_latency:
         raise ValueError("llamp_placement needs a GraphLP built with latency_mode='per_pair'")
 
-    engine = ParametricLP(graph_lp.model, backend=backend)
+    engine = ParametricLP(graph_lp.model)
     lat_keys = list(graph_lp.pair_latency)
     lat_vars = [graph_lp.pair_latency[key].index for key in lat_keys]
     lat_rows = np.array([key[0] for key in lat_keys], dtype=np.intp)

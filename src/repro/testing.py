@@ -69,7 +69,8 @@ def build_random_dag(seed: int, *, nranks: int = 3, rounds: int = 10) -> Executi
     one point-to-point message between a random rank pair.  Vertices are only
     wired to earlier vertices, so the result is acyclic by construction, and
     continuous random costs make degenerate (tied) critical paths improbable
-    — which keeps backend comparisons of duals and sensitivities meaningful.
+    — which keeps duals and sensitivities unique, so LP answers can be
+    checked against simulated finite differences.
     """
     rng = np.random.default_rng(seed)
     builder = GraphBuilder(nranks=nranks)

@@ -1,8 +1,9 @@
-"""Backend registry, incremental assembler, and cross-backend parity tests."""
+"""Backend registry, incremental assembler, and HiGHS certification tests."""
 
 import numpy as np
 import pytest
 
+from repro import LatencyAnalyzer
 from repro.core import build_lp
 from repro.lp import (
     LPModel,
@@ -10,13 +11,12 @@ from repro.lp import (
     Sense,
     Status,
     assemble,
-    auto_backend_choice,
     default_registry,
     solve_highs,
-    solve_simplex,
 )
 from repro.lp.backends import BackendRegistry
 from repro.network.params import LogGPSParams
+from repro.simulator import simulate
 from repro.testing import build_random_dag, build_running_example
 
 PAPER_PARAMS = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.005, S=256 * 1024, P=2)
@@ -25,7 +25,7 @@ RANDOM_PARAMS = LogGPSParams(L=1.0, o=0.3, g=0.0, G=0.001)
 
 class TestRegistry:
     def test_default_backends_registered(self):
-        assert {"highs", "simplex", "auto"} <= set(default_registry.names())
+        assert default_registry.names() == ["highs"]
 
     def test_unknown_backend_lists_known_names(self):
         model = LPModel()
@@ -33,16 +33,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match="highs"):
             model.solve(backend="gurobi")
 
-    def test_get_returns_spec_with_capabilities(self):
-        spec = default_registry.get("simplex")
-        assert spec.supports_ranging
-        assert default_registry.get("highs").supports_duals
+    def test_get_returns_spec(self):
+        spec = default_registry.get("highs")
+        assert spec.name == "highs"
+        assert "HiGHS" in spec.description
 
     def test_register_and_solve_custom_backend(self):
         registry = BackendRegistry()
 
         @registry.register("constant", description="test stub")
-        def solve_constant(model, *, warm_start=None, **options):
+        def solve_constant(model, **options):
             return LPSolution(
                 status=Status.OPTIMAL,
                 objective=42.0,
@@ -60,7 +60,7 @@ class TestRegistry:
         registry = BackendRegistry()
 
         @registry.register("b")
-        def first(model, *, warm_start=None, **options):  # pragma: no cover - stub
+        def first(model, **options):  # pragma: no cover - stub
             raise NotImplementedError
 
         with pytest.raises(ValueError, match="already registered"):
@@ -68,32 +68,6 @@ class TestRegistry:
         registry.register("b", replace=True)(first)
         registry.unregister("b")
         assert "b" not in registry
-
-    def test_auto_dispatches_by_model_size(self, running_example, paper_params):
-        small = build_lp(running_example, paper_params)
-        assert auto_backend_choice(small.model) == "simplex"
-        assert small.solve_runtime(L=0.5, backend="auto").backend == "simplex"
-
-        big = LPModel()
-        for i in range(200):
-            big.add_var(f"x{i}", lb=0.0)
-        assert auto_backend_choice(big) == "highs"
-
-    def test_auto_respects_backend_specific_options(self, running_example, paper_params):
-        lp = build_lp(running_example, paper_params)  # tiny: auto would pick simplex
-        solution = lp.solve_runtime(L=0.5, backend="auto", presolve=False)
-        assert solution.backend == "highs"  # highs-only option pins the dispatch
-        assert solution.objective == pytest.approx(1.615)
-        with pytest.raises(ValueError, match="pick one backend"):
-            lp.model.solve(backend="auto", presolve=False, options=None)
-
-    def test_auto_avoids_simplex_for_infinite_lower_bounds(self):
-        model = LPModel()
-        x = model.add_var("x", lb=float("-inf"))
-        model.add_ge(x, -5.0)
-        model.set_objective(x, Sense.MIN)
-        assert auto_backend_choice(model) == "highs"
-        assert model.solve(backend="auto").objective == pytest.approx(-5.0)
 
 
 class TestAssembler:
@@ -139,111 +113,80 @@ class TestAssembler:
             )
 
 
-def _assert_parity(lp, L: float) -> None:
-    highs = lp.solve_runtime(L=L, backend="highs")
-    simplex = lp.solve_runtime(L=L, backend="simplex")
-    auto = lp.solve_runtime(L=L, backend="auto")
+def _assert_kkt(model: LPModel, solution: LPSolution, tol: float = 1e-6) -> None:
+    """Certify ``solution`` optimal from the lowered arrays alone.
 
-    assert highs.objective == pytest.approx(simplex.objective, abs=1e-6)
-    assert highs.objective == pytest.approx(auto.objective, abs=1e-6)
-    assert lp.latency_sensitivity(highs) == pytest.approx(
-        lp.latency_sensitivity(simplex), abs=1e-6
-    )
-    assert highs.duals is not None and simplex.duals is not None
-    np.testing.assert_allclose(highs.duals, simplex.duals, atol=1e-6)
+    The graph LPs are minimisations with only lower bounds, lowered to
+    ``min c^T x  s.t.  A x <= b,  x >= lb``.  Primal and dual feasibility,
+    stationarity ``A^T y + r = c`` and a zero duality gap prove the primal
+    values, the duals ``y`` and the reduced costs ``r`` optimal without a
+    second solver.
+    """
+    lowered = assemble(model)
+    assert lowered.obj_sign == 1.0 and np.all(np.isinf(lowered.ub))
+    x, y, r = solution.values, solution.duals, solution.reduced_costs
+    assert y is not None and r is not None
+    scale = tol * max(1.0, abs(solution.objective))
+    assert np.all(lowered.A_ub @ x <= lowered.b_ub + scale)
+    assert np.all(x >= lowered.lb - scale)
+    assert np.all(y <= tol) and np.all(r >= -tol)
+    np.testing.assert_allclose(lowered.A_ub.T @ y + r, lowered.c, atol=tol)
+    finite = np.isfinite(lowered.lb)
+    assert np.all(np.abs(r[~finite]) <= tol)
+    dual_objective = lowered.b_ub @ y + lowered.lb[finite] @ r[finite] + lowered.obj_const
+    assert dual_objective == pytest.approx(solution.objective, abs=scale)
+
+
+def _assert_bracketed(slope: float, curve, x: float, eps: float = 1e-4) -> None:
+    """``slope`` is a subgradient of the convex, non-decreasing ``curve`` at
+    ``x``: it lies between the backward and forward difference quotients
+    (between 0 and the forward one at the domain's end ``x = 0``)."""
+    below = (curve(x) - curve(x - eps)) / eps if x >= eps else 0.0
+    above = (curve(x + eps) - curve(x)) / eps
+    assert below - 1e-6 <= slope <= above + 1e-6
+
+
+def _assert_parity(graph, params: LogGPSParams, L: float) -> None:
+    """HiGHS against the simulator: ``T(L)``, ``λ_L`` and a KKT certificate."""
+    lp = build_lp(graph, params)
+    solution = lp.solve_runtime(L=L)
+    _assert_kkt(lp.model, solution)
+
+    def runtime(latency: float) -> float:
+        return simulate(graph, params.with_latency(latency)).runtime
+
+    assert solution.objective == pytest.approx(runtime(L), abs=1e-6)
+    _assert_bracketed(lp.latency_sensitivity(solution), runtime, L)
 
 
 class TestBackendParity:
+    """The HiGHS answers checked without a second solver: optimality from
+    the KKT conditions, ``T`` and ``λ_L`` / ``λ_G`` against the simulator."""
+
     def test_running_example_parity(self, paper_params):
-        lp = build_lp(build_running_example(), paper_params)
         for L in (0.0, 0.2, 0.5, 1.0, 5.0):
-            _assert_parity(lp, L)
+            _assert_parity(build_running_example(), paper_params, L)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_dag_parity(self, seed):
-        graph = build_random_dag(seed)
-        lp = build_lp(graph, RANDOM_PARAMS)
-        _assert_parity(lp, L=1.0 + 0.37 * seed)
+        _assert_parity(build_random_dag(seed), RANDOM_PARAMS, L=1.0 + 0.37 * seed)
 
-    @pytest.mark.parametrize("seed", range(0, 20, 5))
+    @pytest.mark.parametrize("seed", range(20))
     def test_random_dag_parity_with_symbolic_gap(self, seed):
+        # λ_G (the reduced cost of the symbolic gap) is a subgradient of the
+        # simulated T(G); RANDOM_PARAMS has g = 0, so G alone prices bytes
         graph = build_random_dag(seed, nranks=4, rounds=8)
-        lp = build_lp(graph, RANDOM_PARAMS, gap_mode="global")
-        highs = lp.solve_runtime(L=2.0, backend="highs")
-        simplex = lp.solve_runtime(L=2.0, backend="simplex")
-        assert highs.objective == pytest.approx(simplex.objective, abs=1e-6)
-        assert lp.gap_sensitivity(highs) == pytest.approx(
-            lp.gap_sensitivity(simplex), abs=1e-6
-        )
+        analyzer = LatencyAnalyzer(graph, RANDOM_PARAMS, gap_symbolic=True)
+
+        def runtime(G: float) -> float:
+            return simulate(graph, RANDOM_PARAMS.replace(G=G)).runtime
+
+        _assert_bracketed(analyzer.bandwidth_sensitivity(), runtime, RANDOM_PARAMS.G)
 
     def test_direct_backend_functions_agree(self, paper_params):
         lp = build_lp(build_running_example(), paper_params)
         lp.set_latency_bound(0.5)
         assert solve_highs(lp.model).objective == pytest.approx(
-            solve_simplex(lp.model).objective, abs=1e-9
+            lp.model.solve().objective, abs=1e-9
         )
-
-    def test_warm_start_accepted_by_all_backends(self, paper_params):
-        lp = build_lp(build_running_example(), paper_params)
-        reference = lp.solve_runtime(L=0.5)
-        for backend in ("highs", "simplex", "auto"):
-            warm = lp.model.solve(backend=backend, warm_start=reference)
-            assert warm.objective == pytest.approx(reference.objective, abs=1e-9)
-
-
-class TestHighspyBackend:
-    """Optional native-HiGHS backend: gating + (when installed) parity."""
-
-    def test_registration_matches_import_gate(self):
-        from repro.lp.highspy_backend import HAVE_HIGHSPY
-
-        assert ("highspy" in default_registry) == HAVE_HIGHSPY
-
-    def test_solve_without_package_raises_clean_error(self):
-        from repro.lp import highspy_backend
-
-        if highspy_backend.HAVE_HIGHSPY:
-            pytest.skip("highspy installed; the gate error path is unreachable")
-        model = LPModel()
-        model.add_var("x", lb=0.0)
-        with pytest.raises(Exception, match="highspy"):
-            highspy_backend.solve_highspy(model)
-
-    @pytest.mark.skipif(
-        "highspy" not in default_registry, reason="highspy not installed"
-    )
-    def test_spec_declares_warm_start(self):
-        spec = default_registry.get("highspy")
-        assert spec.supports_warm_start
-        assert spec.supports_duals
-
-    @pytest.mark.skipif(
-        "highspy" not in default_registry, reason="highspy not installed"
-    )
-    def test_parity_with_scipy_highs(self, paper_params):
-        lp = build_lp(build_running_example(), paper_params)
-        for L in (0.0, 0.5, 2.0):
-            lp.set_latency_bound(L)
-            ref = solve_highs(lp.model)
-            native = lp.model.solve(backend="highspy")
-            assert native.objective == pytest.approx(ref.objective, abs=1e-6)
-            np.testing.assert_allclose(native.values, ref.values, atol=1e-6)
-            assert native.reduced_costs is not None and ref.reduced_costs is not None
-            np.testing.assert_allclose(
-                native.reduced_costs, ref.reduced_costs, atol=1e-6
-            )
-            assert native.duals is not None and ref.duals is not None
-            np.testing.assert_allclose(native.duals, ref.duals, atol=1e-6)
-
-    @pytest.mark.skipif(
-        "highspy" not in default_registry, reason="highspy not installed"
-    )
-    def test_warm_start_basis_handoff(self, paper_params):
-        lp = build_lp(build_running_example(), paper_params)
-        lp.set_latency_bound(0.0)
-        cold = lp.model.solve(backend="highspy")
-        assert getattr(cold, "_highspy_basis", None) is not None
-        lp.set_latency_bound(0.5)
-        warm = lp.model.solve(backend="highspy", warm_start=cold)
-        ref = solve_highs(lp.model)
-        assert warm.objective == pytest.approx(ref.objective, abs=1e-6)
+        assert lp.model.solve().objective == pytest.approx(1.615)

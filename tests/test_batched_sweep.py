@@ -21,7 +21,7 @@ ZERO_OVERHEAD = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.0)
 def cold_values(graph, params, Ls):
     lp = build_lp(graph, params)
     return np.array(
-        [lp.solve_runtime(L=float(L), backend="highs").objective for L in Ls]
+        [lp.solve_runtime(L=float(L)).objective for L in Ls]
     )
 
 

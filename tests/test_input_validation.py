@@ -6,7 +6,13 @@ import pytest
 
 from repro.analysis.validation import run_validation_sweep
 from repro.cli import main as cli_main
-from repro.core import LatencyAnalyzer, find_critical_latencies, forward_envelope
+from repro.core import (
+    BatchedSweep,
+    LatencyAnalyzer,
+    build_lp,
+    find_critical_latencies,
+    forward_envelope,
+)
 from repro.network.params import LogGPSParams
 from repro.simulator import simulate, simulate_sweep
 from repro.testing import build_running_example
@@ -21,6 +27,12 @@ def _graph():
 
 def _analyzer():
     return LatencyAnalyzer(_graph(), PARAMS)
+
+
+def _per_pair_gap_lp():
+    """An LP outside the forward engine's contract: its envelope comes from
+    the HiGHS tangent search."""
+    return build_lp(_graph(), PARAMS, gap_mode="per_pair")
 
 
 CASES = {
@@ -46,6 +58,30 @@ CASES = {
     ),
     "critical_latencies_l_max_nan": (
         lambda: find_critical_latencies(_graph(), 0.0, NAN, params=PARAMS),
+        r"require 0 <= l_min < l_max",
+    ),
+    "batched_sweep_l_min_nan": (
+        lambda: BatchedSweep(_per_pair_gap_lp(), l_min=NAN).envelope,
+        r"require 0 <= l_min < l_max",
+    ),
+    "batched_sweep_l_max_nan": (
+        lambda: BatchedSweep(_per_pair_gap_lp(), l_max=NAN).envelope,
+        r"require 0 <= l_min < l_max",
+    ),
+    "batched_sweep_lp_l_max_inf": (
+        lambda: BatchedSweep(_per_pair_gap_lp(), l_max=INF).envelope,
+        "argument 'l_max' to tangent_envelope: .* finite",
+    ),
+    "batched_sweep_max_solves_zero": (
+        lambda: BatchedSweep(_per_pair_gap_lp(), max_solves=0),
+        "max_solves must be positive",
+    ),
+    "lp_oracle_l_max_inf": (
+        lambda: BatchedSweep(build_lp(_graph(), PARAMS), l_max=INF).lp_envelope(),
+        "argument 'l_max' to tangent_envelope",
+    ),
+    "tangent_envelope_l_min_nan": (
+        lambda: _per_pair_gap_lp().tangent_envelope(NAN, 5.0),
         r"require 0 <= l_min < l_max",
     ),
     "predict_runtime_delta_L_nan": (
@@ -97,6 +133,9 @@ def test_infinite_upper_latency_still_accepted():
     unbounded = forward_envelope(_graph(), PARAMS, l_max=INF)
     bounded = forward_envelope(_graph(), PARAMS, l_max=10.0)
     assert unbounded.value(0.5) == bounded.value(0.5)
+    # the LP-backed sweep of a forward-compatible LP takes the forward path
+    sweep = BatchedSweep(build_lp(_graph(), PARAMS), l_max=INF)
+    assert sweep.value(0.5) == bounded.value(0.5) and sweep.num_solves == 0
 
 
 CLI_CASES = {

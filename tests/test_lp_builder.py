@@ -124,13 +124,6 @@ class TestAgainstGraphAnalysis:
         cp_runtime = analyze_critical_path(running_example, paper_params.with_latency(L)).runtime
         assert lp_runtime == pytest.approx(cp_runtime)
 
-    def test_simplex_backend_agrees(self, running_example, paper_params):
-        lp = build_lp(running_example, paper_params)
-        highs = lp.solve_runtime(L=0.5, backend="highs")
-        simplex = lp.solve_runtime(L=0.5, backend="simplex")
-        assert highs.objective == pytest.approx(simplex.objective)
-        assert lp.latency_sensitivity(highs) == pytest.approx(lp.latency_sensitivity(simplex))
-
 
 class TestFusedEngineOption:
     """``ScheduleBatches`` sources: the fused batches→CSR lowering."""
@@ -163,8 +156,8 @@ class TestFusedEngineOption:
             if isinstance(a[key], np.ndarray):
                 np.testing.assert_array_equal(a[key], b[key], err_msg=key)
         assert (
-            from_spec.solve_runtime(L=1.0, backend="highs").objective
-            == from_graph.solve_runtime(L=1.0, backend="highs").objective
+            from_spec.solve_runtime(L=1.0).objective
+            == from_graph.solve_runtime(L=1.0).objective
         )
 
     def test_symbolic_reference_runs_on_materialised_spec_graph(self, paper_params):

@@ -115,8 +115,8 @@ class TestSolutionParity:
         for graph in DAGS[:5]:
             symbolic, compiled = _build_pair(graph, "global", "constant", "constant")
             for L in (0.0, 0.7, 2.5, 10.0):
-                s = symbolic.solve_runtime(L=L, backend="highs")
-                c = compiled.solve_runtime(L=L, backend="highs")
+                s = symbolic.solve_runtime(L=L)
+                c = compiled.solve_runtime(L=L)
                 assert c.objective == pytest.approx(s.objective, abs=1e-6)
 
 
@@ -127,7 +127,7 @@ class TestCompiledModelProtocol:
         graph = build_staircase(6)
         params = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.0)
         compiled = build_lp(graph, params, engine="compiled")
-        envelope = compiled.tangent_envelope(0.0, 10.0, backend="highs")
+        envelope = compiled.tangent_envelope(0.0, 10.0)
         breakpoints = sorted(round(bp, 6) for bp in envelope.breakpoints)
         assert breakpoints == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0], abs=1e-6)
 
@@ -151,15 +151,15 @@ class TestCompiledModelProtocol:
         n_rows = compiled.model.num_constraints
         compiled.set_latency_bound(PARAMS.L)
         symbolic.set_latency_bound(PARAMS.L)
-        bound = 1.05 * compiled.solve_runtime(backend="highs").objective
-        s = symbolic.solve_max_latency(bound, backend="highs")
-        c = compiled.solve_max_latency(bound, backend="highs")
+        bound = 1.05 * compiled.solve_runtime().objective
+        s = symbolic.solve_max_latency(bound)
+        c = compiled.solve_max_latency(bound)
         assert c.objective == pytest.approx(s.objective, abs=1e-6)
         assert compiled.model.num_constraints == n_rows
         # and the model still re-solves correctly after the pop
-        again = compiled.solve_runtime(L=PARAMS.L, backend="highs")
+        again = compiled.solve_runtime(L=PARAMS.L)
         assert again.objective == pytest.approx(
-            symbolic.solve_runtime(L=PARAMS.L, backend="highs").objective, abs=1e-6
+            symbolic.solve_runtime(L=PARAMS.L).objective, abs=1e-6
         )
 
     def test_materialised_constraints_match_assembled_rows(self):
@@ -184,7 +184,7 @@ class TestCompiledModelProtocol:
     def test_tight_constraints_work_on_compiled_model(self):
         graph = build_running_example()
         compiled = build_lp(graph, PARAMS, engine="compiled")
-        solution = compiled.solve_runtime(L=PARAMS.L, backend="highs")
+        solution = compiled.solve_runtime(L=PARAMS.L)
         assert len(solution.tight_constraints()) >= 1
 
     def test_from_arrays_validation(self):

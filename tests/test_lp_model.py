@@ -1,7 +1,8 @@
-"""Tests for the LP modelling layer and both solver backends."""
+"""Tests for the LP modelling layer and its HiGHS solver."""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from repro.lp import (
     InfeasibleError,
@@ -9,11 +10,10 @@ from repro.lp import (
     LPError,
     LPModel,
     Sense,
-    SimplexOptions,
     UnboundedError,
 )
 
-BACKENDS = ("highs", "simplex")
+BACKENDS = ("highs",)
 
 
 class TestLinearExpr:
@@ -202,46 +202,40 @@ class TestSolvers:
 
 class TestBackendAgreement:
     def test_random_problems_agree(self):
+        # the model -> assembler lowering against linprog on the raw arrays
         rng = np.random.default_rng(42)
         for trial in range(20):
             n, m = 4, 6
             model = LPModel(name=f"random{trial}")
-            xs = [model.add_var(f"x{i}", lb=0.0, ub=10.0) for i in range(n)]
+            for i in range(n):
+                model.add_var(f"x{i}", lb=0.0, ub=10.0)
             # constraints sum a_i x_i <= b with non-negative coefficients so the
             # problem is always feasible (x = 0) and bounded (upper bounds)
-            for _ in range(m):
-                coeffs = rng.uniform(0.0, 2.0, size=n)
-                expr = LinearExpr({i: float(c) for i, c in enumerate(coeffs)}, 0.0)
-                model.add_constraint(expr <= float(rng.uniform(5.0, 20.0)))
-            objective = LinearExpr(
-                {i: float(c) for i, c in enumerate(rng.uniform(0.1, 1.0, size=n))}, 0.0
-            )
+            A = rng.uniform(0.0, 2.0, size=(m, n))
+            b = rng.uniform(5.0, 20.0, size=m)
+            for row, rhs in zip(A, b):
+                expr = LinearExpr({i: float(c) for i, c in enumerate(row)}, 0.0)
+                model.add_constraint(expr <= float(rhs))
+            c = rng.uniform(0.1, 1.0, size=n)
+            objective = LinearExpr({i: float(v) for i, v in enumerate(c)}, 0.0)
             model.set_objective(objective, Sense.MAX)
-            highs = model.solve(backend="highs")
-            simplex = model.solve(backend="simplex")
-            assert highs.objective == pytest.approx(simplex.objective, rel=1e-6, abs=1e-6)
+            raw = linprog(-c, A_ub=A, b_ub=b, bounds=[(0.0, 10.0)] * n, method="highs")
+            assert raw.status == 0
+            solution = model.solve()
+            assert solution.objective == pytest.approx(-raw.fun, rel=1e-6, abs=1e-6)
 
     def test_duals_agree_on_small_problem(self):
+        # max 2a + b  s.t. a + b <= 10, a <= 6  ->  (a, b) = (6, 4), objective 16;
+        # both rows bind with shadow prices 1 (= b's cost) and 1 (= 2 - 1)
         model = LPModel()
         a = model.add_var("a")
         b = model.add_var("b")
         c1 = model.add_constraint(a + b <= 10.0)
         c2 = model.add_constraint(a.to_expr() <= 6.0)
         model.set_objective(2 * a + b, Sense.MAX)
-        highs = model.solve(backend="highs")
-        simplex = model.solve(backend="simplex")
-        assert highs.objective == pytest.approx(simplex.objective)
-        assert abs(highs.dual(c1)) == pytest.approx(abs(simplex.dual(c1)), abs=1e-6)
-        assert abs(highs.dual(c2)) == pytest.approx(abs(simplex.dual(c2)), abs=1e-6)
-
-
-class TestSimplexSpecifics:
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SimplexOptions(max_iterations=-5)
-
-    def test_unknown_backend(self):
-        model = LPModel()
-        model.add_var("x")
-        with pytest.raises(ValueError):
-            model.solve(backend="gurobi")
+        solution = model.solve()
+        assert solution.objective == pytest.approx(16.0)
+        assert solution.value(a) == pytest.approx(6.0)
+        assert solution.value(b) == pytest.approx(4.0)
+        assert abs(solution.dual(c1)) == pytest.approx(1.0, abs=1e-6)
+        assert abs(solution.dual(c2)) == pytest.approx(1.0, abs=1e-6)

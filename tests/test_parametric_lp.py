@@ -1,7 +1,7 @@
 """Tests for the shared parametric-envelope engine (``repro.lp.parametric``).
 
-Covers the engine primitives (bound-only updates, warm-start hand-off, the
-tangent-envelope search), parity of the refactored ``find_critical_latencies``
+Covers the engine primitives (bound-only updates, the tangent-envelope
+search), parity of the refactored ``find_critical_latencies``
 and ``llamp_placement`` against faithful copies of the pre-engine
 implementations, the cached-tangent ``critical_latency_curve``, and the
 incremental placement loop's zero-reassembly guarantee.
@@ -16,7 +16,6 @@ from repro.core import build_lp, find_critical_latencies, forward_envelope
 from repro.core.critical_latency import critical_latency_curve
 from repro.lp import LPSolution, ParametricLP, Tangent
 from repro.lp.backends import default_registry
-from repro.lp.scipy_backend import solve_highs
 from repro.network import ArchitectureGraph, round_robin_mapping
 from repro.network.params import LogGPSParams
 from repro.placement import llamp_placement, swap_gain_matrix
@@ -40,7 +39,7 @@ def _reference_find_critical_latencies(graph_lp, l_min, l_max, *, step=None):
         return abs(a - b) <= _ABS + _REL * max(abs(a), abs(b), 1.0)
 
     def probe(L):
-        solution = graph_lp.solve_runtime(L=L, backend="highs")
+        solution = graph_lp.solve_runtime(L=L)
         return Tangent(L=L, value=solution.objective,
                        slope=graph_lp.latency_sensitivity(solution))
 
@@ -123,16 +122,19 @@ def _reference_placement(graph, params, arch, *, initial_mapping, max_iterations
 
 @pytest.fixture
 def counting_backend():
-    """A registered backend that counts its solve calls (delegates to highs)."""
+    """Wrap the ``"highs"`` backend with a counter of its solve calls."""
     calls = {"n": 0}
+    highs = default_registry.get("highs")
 
-    @default_registry.register("_counting", replace=True)
-    def _solve(model, *, warm_start=None, **options):
+    @default_registry.register("highs", replace=True)
+    def _solve(model, **options):
         calls["n"] += 1
-        return solve_highs(model, warm_start=warm_start, **options)
+        return highs.solve(model, **options)
 
     yield calls
-    default_registry.unregister("_counting")
+    default_registry.register("highs", description=highs.description, replace=True)(
+        highs.solve
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +145,7 @@ def counting_backend():
 class TestParametricLPEngine:
     def test_bound_updates_do_not_touch_structure(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params)
-        engine = ParametricLP(lp.model, backend="highs")
+        engine = ParametricLP(lp.model)
         engine.solve()
         structure = lp.model.structure_version
         cache = lp.model._assembled_cache
@@ -156,28 +158,28 @@ class TestParametricLPEngine:
 
     def test_tangent_envelope_running_example(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params)
-        engine = ParametricLP(lp.model, backend="highs")
+        engine = ParametricLP(lp.model)
         result = engine.tangent_envelope(lp.latency, 0.0, 2.0)
         assert result.breakpoints == pytest.approx([0.385], abs=1e-6)
         assert result.num_solves == engine.num_solves <= 5
         # reconstructed values lie on the curve the cold solves sample
         for L in (0.0, 0.2, 0.385, 1.0, 2.0):
-            expected = lp.solve_runtime(L=L, backend="highs").objective
+            expected = lp.solve_runtime(L=L).objective
             assert result.value(L) == pytest.approx(expected, abs=1e-6)
 
     def test_segment_tangent_matches_fresh_probe(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params)
-        engine = ParametricLP(lp.model, backend="highs")
+        engine = ParametricLP(lp.model)
         result = engine.tangent_envelope(lp.latency, 0.0, 2.0)
         for L in (0.1, 1.0):
-            solution = lp.solve_runtime(L=L, backend="highs")
+            solution = lp.solve_runtime(L=L)
             tangent = result.segment_tangent(L)
             assert tangent.value == pytest.approx(solution.objective, abs=1e-6)
             assert tangent.slope == pytest.approx(lp.latency_sensitivity(solution), abs=1e-6)
 
     def test_max_solves_enforced(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params)
-        engine = ParametricLP(lp.model, backend="highs", max_solves=2)
+        engine = ParametricLP(lp.model, max_solves=2)
         engine.solve()
         engine.solve()
         with pytest.raises(RuntimeError, match="exceeded 2 LP solves"):
@@ -185,7 +187,7 @@ class TestParametricLPEngine:
 
     def test_bulk_lower_bounds_single_revision(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params, latency_mode="per_pair")
-        engine = ParametricLP(lp.model, backend="highs")
+        engine = ParametricLP(lp.model)
         variables = list(lp.pair_latency.values())
         before = lp.model.bounds_version
         engine.set_lower_bounds(variables, [1.5] * len(variables))
@@ -206,37 +208,19 @@ class TestParametricLPEngine:
         assert lp.model.bounds_version == before
         assert [lp.model.variables[v.index].lb for v in variables] == original
 
-    def test_warm_start_handed_to_capable_backend(self, running_example, paper_params):
-        received = []
-
-        @default_registry.register("_warm", replace=True, supports_warm_start=True)
-        def _solve(model, *, warm_start=None, **options):
-            received.append(warm_start)
-            return solve_highs(model, **options)
-
-        try:
-            lp = build_lp(running_example, paper_params)
-            engine = ParametricLP(lp.model, backend="_warm")
-            first = engine.solve()
-            engine.solve()
-            assert received[0] is None
-            assert received[1] is first
-            # highs does not declare warm-start support: nothing handed over
-            cold = ParametricLP(lp.model, backend="highs")
-            assert cold._hand_warm_start is False
-        finally:
-            default_registry.unregister("_warm")
-
-    def test_unknown_backend_fails_fast(self, running_example, paper_params):
-        lp = build_lp(running_example, paper_params)
-        with pytest.raises(ValueError, match="unknown LP backend"):
-            ParametricLP(lp.model, backend="nope")
-
     def test_invalid_interval_rejected(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params)
-        engine = ParametricLP(lp.model, backend="highs")
-        with pytest.raises(ValueError, match="invalid latency interval"):
-            engine.tangent_envelope(lp.latency, 2.0, 1.0)
+        engine = ParametricLP(lp.model)
+        nan, inf = float("nan"), float("inf")
+        for lo, hi in [(2.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (nan, 1.0), (0.0, nan)]:
+            with pytest.raises(ValueError, match="invalid latency interval"):
+                engine.tangent_envelope(lp.latency, lo, hi)
+        # every probe is a solve: the LP search needs a finite upper end
+        with pytest.raises(ValueError, match="argument 'hi'.*finite"):
+            engine.tangent_envelope(lp.latency, 0.0, inf)
+        assert engine.num_solves == 0
+        with pytest.raises(ValueError, match="max_solves must be positive"):
+            ParametricLP(lp.model, max_solves=0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +281,20 @@ class TestCriticalLatencyParity:
 class TestCurveFromCachedTangents:
     def test_no_extra_solves_for_midpoints(self, counting_backend):
         graph = build_random_dag(3, nranks=4, rounds=14)
-        find_critical_latencies(build_lp(graph, PARAMS), 0.5, 25.0, backend="_counting")
+
+        def off_contract_lp():
+            # a moved gap bound keeps the LP off the forward engine, so both
+            # calls run the tangent search and every probe is a counted solve
+            lp = build_lp(graph, PARAMS, gap_mode="global")
+            lp.set_gap_bound(1.1 * PARAMS.G)
+            return lp
+
+        find_critical_latencies(off_contract_lp(), 0.5, 25.0)
         search_solves = counting_backend["n"]
+        assert search_solves > 0
 
         counting_backend["n"] = 0
-        tangents = critical_latency_curve(
-            build_lp(graph, PARAMS), 0.5, 25.0, backend="_counting"
-        )
+        tangents = critical_latency_curve(off_contract_lp(), 0.5, 25.0)
         # pre-refactor: search_solves + one extra solve per segment
         assert len(tangents) >= 2
         assert counting_backend["n"] == search_solves
@@ -314,7 +305,7 @@ class TestCurveFromCachedTangents:
         tangents = critical_latency_curve(lp, 0.5, 25.0)
         probe_lp = build_lp(graph, PARAMS)
         for tangent in tangents:
-            solution = probe_lp.solve_runtime(L=tangent.L, backend="highs")
+            solution = probe_lp.solve_runtime(L=tangent.L)
             assert tangent.value == pytest.approx(solution.objective, abs=1e-6)
             assert tangent.slope == pytest.approx(
                 probe_lp.latency_sensitivity(solution), abs=1e-6

@@ -231,7 +231,3 @@ class TestCLI:
         assert cli_main(["place", "icon", "--nranks", "4", "--nodes", "2"]) == 0
         out = capsys.readouterr().out
         assert "refined mapping" in out and "LP solves" in out
-
-    def test_place_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            cli_main(["place", "lulesh", "--nranks", "2", "--backend", "nope"])

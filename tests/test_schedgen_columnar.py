@@ -298,15 +298,15 @@ class TestLPObjectiveAgreement:
 
         graph = build_graph(run_program(app, 8))
         lp = build_lp(graph, PARAMS, engine="compiled")
-        objective = lp.solve_runtime(backend="highs").objective
+        objective = lp.solve_runtime().objective
         assert objective == pytest.approx(analyze_critical_path(graph, PARAMS).runtime, abs=1e-9)
 
     def test_random_program_compiled_vs_symbolic(self):
         graph = build_graph(build_random_program(3, nranks=3, rounds=10))
         compiled = build_lp(graph, PARAMS, engine="compiled")
         symbolic = build_lp(graph, PARAMS, engine="symbolic")
-        assert compiled.solve_runtime(backend="highs").objective == pytest.approx(
-            symbolic.solve_runtime(backend="highs").objective, abs=1e-9
+        assert compiled.solve_runtime().objective == pytest.approx(
+            symbolic.solve_runtime().objective, abs=1e-9
         )
 
 
