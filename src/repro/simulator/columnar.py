@@ -5,7 +5,7 @@ vertex at a time (the reference walk,
 :class:`repro.simulator.loggops.LogGOPSSimulator`), it processes whole
 *topological levels* at once (:meth:`~repro.schedgen.graph.ExecutionGraph.
 topo_levels`): every predecessor of a level-``k`` vertex lives in a level
-``< k``, so one level's ready times, injector releases, noise draws, send
+``< k``, so one level's ready times, injector releases, send
 starts and completion times are all computable as array passes.
 
 Per level the engine performs
@@ -13,11 +13,14 @@ Per level the engine performs
 * a segmented maximum of the predecessor contributions over the level's
   slice of the (level-major) edge permutation — ``end(u)`` for dependency
   edges, ``release(end(u) + L + (s-1)·G)`` for communication edges;
-* one batch injector call (``release_times``) for the level's messages and
-  one batch noise draw (``perturb_many``) for its computations;
+* one batch injector call (``release_times``) for the level's messages;
 * per-rank NIC-gap tracking for the level's sends (``start = max(ready,
   nic_free)``, the NIC busy until ``start + g``), serialised per rank in
   vertex-id order when one rank posts several sends in the same level.
+
+A run's computation noise is drawn before the level loop, in one
+``perturb_many`` call over every computation in level order; each level
+reads its column slice of that draw.
 
 **Determinism contract.**  This engine and the reference walk present messages, noise draws and
 NIC acquisitions in the *shared deterministic order*: level-major,
@@ -30,12 +33,16 @@ reference walk for every injector × noise combination.
 
 :func:`simulate_sweep` stacks a whole ΔL sweep into one run: every level is
 advanced for all sweep points in a single 2-D array pass, which turns the
-Table I / Fig. 12 re-simulation sweeps into one vectorised traversal.
+Table I / Fig. 12 re-simulation sweeps and the repetitions of the validation
+sweep into one vectorised traversal.  Each sweep point may carry its own
+noise model, and every row is bit-identical to the :func:`simulate_level`
+run it stands for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -164,13 +171,13 @@ def get_level_plan(graph: ExecutionGraph, params: LogGPSParams) -> _LevelPlan:
     """The :class:`_LevelPlan` of ``(graph, params)``, cached on the graph.
 
     The plan depends only on the immutable graph and the parameter set
-    (injector deltas are folded in later, on copies), and both the scalar
-    level engine and the batched sweep read it without mutation — so
-    repeated simulations of the same configuration (e.g. the repetition
-    loop of :func:`repro.analysis.validation.run_validation_sweep`, where
-    only the noise seed changes between runs) share one plan instead of
-    rebuilding it per run.  Keyed by ``params.content_digest()``; a cache
-    hit increments ``plan.reuse_count``.
+    (injector deltas and noise are folded in later, on copies), and the
+    scalar level engine, the batched sweep and the forward envelope all
+    read it without mutation — so every simulation and envelope of the same
+    configuration (e.g. the prediction and the one batched measurement call
+    of :func:`repro.analysis.validation.run_validation_sweep`) shares one
+    plan instead of rebuilding it.  Keyed by ``params.content_digest()``; a
+    cache hit increments ``plan.reuse_count``.
     """
     cache = graph._level_plan_cache
     key = params.content_digest()
@@ -287,7 +294,11 @@ def simulate_level(
     send_extra_all = (
         _send_extra_delays(injector, plan.send_rank) if stateless else None
     )
-    noise_active = not isinstance(noise, NoNoise)
+    # the run's whole noise stream in one draw: calc_pos is level-major and
+    # perturb_many is stream-equivalent to the reference walk's scalar draws
+    perturbed = (
+        None if isinstance(noise, NoNoise) else _perturb_many(noise, plan.calc_cost)
+    )
 
     end_pos = np.zeros(n, dtype=np.float64)
     start_pos = np.zeros(n, dtype=np.float64)
@@ -319,11 +330,11 @@ def simulate_level(
             ready = np.zeros(width, dtype=np.float64)
 
         end_lvl = ready + plan.vcost[p0:p1]
-        if noise_active:
+        if perturbed is not None:
             c0, c1 = plan.calc_ptr[k], plan.calc_ptr[k + 1]
             if c1 > c0:
                 rel = plan.calc_pos[c0:c1] - p0
-                end_lvl[rel] = ready[rel] + _perturb_many(noise, plan.calc_cost[c0:c1])
+                end_lvl[rel] = ready[rel] + perturbed[c0:c1]
 
         start_lvl = start_pos[p0:p1]
         start_lvl[:] = ready
@@ -389,17 +400,21 @@ def simulate_sweep(
     deltas,
     *,
     injector: str = "ideal",
-    noise: NoiseModel | None = None,
+    noise: NoiseModel | Sequence[NoiseModel] | None = None,
 ) -> SweepSimulationResult:
     """Simulate every ΔL point of a sweep in one level-synchronous pass.
 
-    Equivalent to ``[simulate(graph, params, injector=make_injector(name,
-    d), noise=noise) for d in deltas]`` — the noise model is re-seeded per
-    sweep point exactly as per-point runs would — but each topological
-    level advances *all* points at once as a 2-D array pass, so the sweep
-    costs one graph traversal instead of ``len(deltas)``.
+    Bit-identical to ``[simulate(graph, params, injector=make_injector(name,
+    d), noise=noise) for d in deltas]`` — but each topological level
+    advances *all* points at once as a 2-D array pass, so the sweep costs
+    one graph traversal instead of ``len(deltas)``.
 
-    ``injector`` is one of :data:`~repro.simulator.injector.INJECTOR_NAMES`.
+    ``noise`` is one model, reset and drawn once per sweep point exactly as
+    the per-point runs would, or a sequence of one model per sweep point
+    (point ``k`` runs under ``noise[k]``) — which makes repeated noisy runs
+    of one ΔL, as the validation sweep averages them, rows of the same
+    pass.  ``injector`` is one of
+    :data:`~repro.simulator.injector.INJECTOR_NAMES`.
     """
     deltas = np.asarray(list(deltas), dtype=np.float64).ravel()
     if not np.all(np.isfinite(deltas)):
@@ -408,8 +423,6 @@ def simulate_sweep(
         raise ValueError(
             f"unknown injector {injector!r}; expected one of {INJECTOR_NAMES}"
         )
-    if noise is None:
-        noise = NoNoise()
     grid = simulate_sweep_grid(
         graph, params, deltas, injectors=(injector,), noise=noise
     )
@@ -460,7 +473,7 @@ def simulate_sweep_grid(
     deltas,
     *,
     injectors=("ideal",),
-    noise: NoiseModel | None = None,
+    noise: NoiseModel | Sequence[NoiseModel] | None = None,
     latency_matrices=None,
     track_nic: bool = True,
 ) -> GridSimulationResult:
@@ -471,6 +484,12 @@ def simulate_sweep_grid(
     point — but all ``I × K`` rows advance together: each topological level
     is one 2-D array pass over the full grid, so Fig. 8 (four injectors over
     one ΔL axis) costs a single graph traversal instead of four.
+
+    ``noise`` is one model or a sequence of one model per sweep point,
+    shared across the injector axis.  Each point's model is reset and drawn
+    once, over all computations in level order, before the level loop —
+    the draw a per-point run makes — and serves every injector row of that
+    point.
 
     ``latency_matrices`` folds per-pair HLogGP base latencies into the same
     pass: a ``(nranks, nranks)`` matrix replaces the scalar ``params.L`` of
@@ -488,10 +507,9 @@ def simulate_sweep_grid(
             raise ValueError(
                 f"unknown injector {name!r}; expected one of {INJECTOR_NAMES}"
             )
-    if noise is None:
-        noise = NoNoise()
     I = len(injectors)
     K = len(deltas)
+    noise_models = _noise_models(noise, K)
     R = I * K
     n = graph.num_vertices
     nranks = graph.nranks
@@ -538,6 +556,15 @@ def simulate_sweep_grid(
         else:  # pragma: no cover - guarded by the INJECTOR_NAMES check above
             raise ValueError(f"injector {name!r} not supported by simulate_sweep_grid")
     wire_col = wire[:, None]
+    perturbed = None
+    if noise_models is not None:
+        # row k of the draw is point k's run; the injector axis tiles it
+        perturbed = np.empty((K, len(plan.calc_cost)), dtype=np.float64)
+        for point, model in enumerate(noise_models):
+            model.reset()
+            perturbed[point] = _perturb_many(model, plan.calc_cost)
+        if I > 1:
+            perturbed = np.tile(perturbed, (I, 1))
     prog = np.asarray(prog_rows, dtype=np.int64)
     prog_deltas = np.tile(deltas, len(prog) // K) if prog.size else deltas
     busy = np.zeros((len(prog), nranks), dtype=np.float64)  # progress threads
@@ -546,8 +573,6 @@ def simulate_sweep_grid(
     nic_free = np.zeros((R, nranks), dtype=np.float64)
     o, g = params.o, params.g
     vptr, eptr, sptr = plan.vptr, plan.eptr, plan.sptr
-    noise_active = not isinstance(noise, NoNoise)
-    noise.reset()
 
     for k in range(len(vptr) - 1):
         p0, p1 = vptr[k], vptr[k + 1]
@@ -555,7 +580,8 @@ def simulate_sweep_grid(
         width = p1 - p0
         if e1 > e0:
             # wire delay folded per grid row, one level slice at a time
-            # (never the dense (R, num_edges) matrix)
+            # (never the dense (R, num_edges) matrix), added to the edge cost
+            # before the source's end time — the scalar engine's float order
             if lat_flat is None:
                 e_cost = plan.e_cost[e0:e1]
             else:
@@ -568,10 +594,8 @@ def simulate_sweep_grid(
                     comm, pair_lat + plan.e_bw[e0:e1] * params.G, 0.0
                 )
                 e_cost = np.tile(e_cost, (I, 1))
-            contrib = (
-                end_pos[:, plan.e_src_pos[e0:e1]]
-                + e_cost
-                + wire_col * plan.e_comm[e0:e1]
+            contrib = end_pos[:, plan.e_src_pos[e0:e1]] + (
+                e_cost + wire_col * plan.e_comm[e0:e1]
             )
             if prog.size:
                 c0, c1 = plan.comm_ptr[k], plan.comm_ptr[k + 1]
@@ -595,15 +619,11 @@ def simulate_sweep_grid(
             ready = np.zeros((R, width), dtype=np.float64)
 
         end_lvl = ready + plan.vcost[None, p0:p1]
-        if noise_active:
+        if perturbed is not None:
             c0, c1 = plan.calc_ptr[k], plan.calc_ptr[k + 1]
             if c1 > c0:
                 rel = plan.calc_pos[c0:c1] - p0
-                # the noise draw depends only on the durations, which are
-                # identical across grid rows (each per-point run re-seeds),
-                # so one draw per level serves every row
-                perturbed = _perturb_many(noise, plan.calc_cost[c0:c1])
-                end_lvl[:, rel] = ready[:, rel] + perturbed[None, :]
+                end_lvl[:, rel] = ready[:, rel] + perturbed[:, c0:c1]
 
         s0, s1 = plan.send_ptr[k], plan.send_ptr[k + 1]
         if s1 > s0:
@@ -631,6 +651,28 @@ def simulate_sweep_grid(
         rank_finish=rank_finish.reshape(I, K, nranks),
         params=params,
     )
+
+
+def _noise_models(noise, num_points: int) -> list | None:
+    """One noise model per sweep point, or ``None`` when no row is perturbed.
+
+    A single model (anything with ``perturb``) serves every point; a
+    sequence must hold exactly one model per point.
+    """
+    if noise is None:
+        return None
+    if hasattr(noise, "perturb"):
+        models = [noise] * num_points
+    else:
+        models = list(noise)
+        if len(models) != num_points:
+            raise ValueError(
+                f"argument 'noise': expected one noise model per sweep point "
+                f"({num_points}), got {len(models)}"
+            )
+    if all(isinstance(model, NoNoise) for model in models):
+        return None
+    return models
 
 
 def _progress_release(

@@ -119,6 +119,22 @@ CASES = {
         lambda: run_validation_sweep(_graph(), PARAMS, delta_Ls=[NAN]),
         "argument 'delta_Ls' to run_validation_sweep",
     ),
+    "run_validation_sweep_repetitions_zero": (
+        lambda: run_validation_sweep(_graph(), PARAMS, repetitions=0),
+        "argument 'repetitions' to run_validation_sweep",
+    ),
+    "run_validation_sweep_noise_sigma_nan": (
+        lambda: run_validation_sweep(_graph(), PARAMS, noise_sigma=NAN),
+        "argument 'noise_sigma' to run_validation_sweep",
+    ),
+    "run_validation_sweep_noise_sigma_negative": (
+        lambda: run_validation_sweep(_graph(), PARAMS, noise_sigma=-0.01),
+        "argument 'noise_sigma' to run_validation_sweep",
+    ),
+    "run_validation_sweep_injector_unknown": (
+        lambda: run_validation_sweep(_graph(), PARAMS, injector="warp"),
+        "argument 'injector' to run_validation_sweep",
+    ),
 }
 
 

@@ -1,9 +1,11 @@
-"""Determinism fixes in the validation sweep: noise seeding and plan reuse.
+"""Determinism of the validation sweep: noise seeding, plan reuse, batching.
 
 Covers the :func:`repro.analysis.validation.noise_seed` scheme that replaced
-the colliding ``rep * 7919 + point`` arithmetic, and the per-graph
-``_LevelPlan`` cache that lets repeated level-engine simulations of the same
-``(graph, params)`` pair skip the plan rebuild.
+the colliding ``rep * 7919 + point`` arithmetic, the per-graph
+``_LevelPlan`` cache that lets every level-engine simulation of the same
+``(graph, params)`` pair skip the plan rebuild, and the batched measurement:
+one ``simulate_sweep`` call over every ``(repetition, ΔL)`` row must
+reproduce the separate ``simulate`` runs bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ from repro.analysis.validation import noise_seed, run_validation_sweep
 from repro.core import LatencyAnalyzer
 from repro.network.params import LogGPSParams
 from repro.simulator.columnar import _LEVEL_PLAN_CACHE_SIZE, get_level_plan
-from repro.simulator import LogGOPSSimulator, make_injector
-from repro.simulator.noise import GaussianNoise
+from repro.simulator import (
+    INJECTOR_NAMES,
+    LogGOPSSimulator,
+    make_injector,
+    simulate,
+    simulate_sweep,
+)
+from repro.simulator.noise import GaussianNoise, NoNoise, OSJitterNoise
 from repro.testing import build_random_dag
 
 PARAMS = LogGPSParams(L=1.0, o=0.1, g=0.1, G=0.001, S=1024, P=2)
@@ -86,12 +94,12 @@ class TestLevelPlanCache:
             delta_Ls=deltas,
             repetitions=repetitions,
         )
-        # injector deltas are folded in on copies, so every (delta, rep)
-        # simulation shares the single (graph, params) plan — and so does the
-        # prediction's envelope, which builds it first
+        # the prediction's envelope builds the single (graph, params) plan;
+        # every (rep, delta) run is a row of the one batched simulation call,
+        # which reuses it once
         plans = list(graph._level_plan_cache.values())
         assert len(plans) == 1
-        assert plans[0].reuse_count == len(deltas) * repetitions
+        assert plans[0].reuse_count == 1
 
     def test_analyzer_envelope_and_simulation_share_plan(self):
         graph = build_random_dag(23, nranks=4, rounds=15)
@@ -131,3 +139,59 @@ class TestSweepReproducibility:
             for i, delta in enumerate(deltas)
         ]
         assert level.measured == pytest.approx(reference, rel=1e-12, abs=1e-9)
+
+
+class TestBatchedMeasurement:
+    DELTAS = (0.0, 2.5, 9.0)
+    REPETITIONS = 10  # the paper's count; more than 8 samples sum pairwise
+    #: run_validation_sweep keywords -> the noise of run (rep, point)
+    NOISE_CASES = {
+        "gaussian": ({}, lambda rep, i: GaussianNoise(sigma=0.002, seed=noise_seed(rep, i))),
+        "none": ({"noise_sigma": 0.0}, lambda rep, i: NoNoise()),
+        "explicit_jitter": (
+            {"noise": OSJitterNoise(probability=0.3, spike=7.0, seed=5)},
+            lambda rep, i: OSJitterNoise(probability=0.3, spike=7.0, seed=5),
+        ),
+    }
+
+    @pytest.mark.parametrize("injector", INJECTOR_NAMES)
+    @pytest.mark.parametrize("noise_case", sorted(NOISE_CASES))
+    def test_measured_equals_per_run_loop(self, injector, noise_case):
+        graph = build_random_dag(37, nranks=4, rounds=14)
+        kwargs, run_noise = self.NOISE_CASES[noise_case]
+        sweep = run_validation_sweep(
+            graph, PARAMS, delta_Ls=self.DELTAS, repetitions=self.REPETITIONS,
+            injector=injector, **kwargs,
+        )
+        loop = [
+            np.mean([
+                simulate(
+                    graph, PARAMS, injector=make_injector(injector, delta),
+                    noise=run_noise(rep, i),
+                ).makespan
+                for rep in range(self.REPETITIONS)
+            ])
+            for i, delta in enumerate(self.DELTAS)
+        ]
+        np.testing.assert_array_equal(sweep.measured, loop)
+
+    @pytest.mark.parametrize("injector", INJECTOR_NAMES)
+    def test_sweep_per_point_noise_list(self, injector):
+        graph = build_random_dag(41, nranks=4, rounds=12)
+        deltas = [0.0, 4.0, 4.0, 12.0]
+        models = [GaussianNoise(sigma=0.05, seed=noise_seed(0, i)) for i in range(len(deltas))]
+        sweep = simulate_sweep(graph, PARAMS, deltas, injector=injector, noise=models)
+        for i, delta in enumerate(deltas):
+            point = simulate(
+                graph, PARAMS, injector=make_injector(injector, delta),
+                noise=GaussianNoise(sigma=0.05, seed=noise_seed(0, i)),
+            )
+            assert sweep.makespan[i] == point.makespan
+            np.testing.assert_array_equal(sweep.rank_finish[i], point.rank_finish)
+        # the two rows at ΔL = 4 differ only in their noise streams
+        assert sweep.makespan[1] != sweep.makespan[2]
+
+    def test_wrong_length_noise_rejected(self):
+        graph = build_random_dag(41)
+        with pytest.raises(ValueError, match="argument 'noise'"):
+            simulate_sweep(graph, PARAMS, [0.0, 1.0], noise=[NoNoise()])
